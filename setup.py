@@ -1,41 +1,8 @@
-"""Package setup, with an optional mypyc build of the two hot modules.
-
-The pure-Python tree is authoritative.  Setting ``REPRO_NATIVE=1`` in the
-environment compiles ``repro.sim.core`` and ``repro.net.dummynet`` to C
-extensions with mypyc (if mypy is installed — the ``.[native]`` extra);
-everything else, including correctness and digests, is identical, and the
-equivalence suite plus ``repro bench``'s ``digest_match`` gates must pass
-against the compiled modules too.  Without the flag, or without mypyc
-available, this is a plain pure-Python install — missing tooling degrades
-to a no-op, never an install failure.
-"""
-
-import os
+"""Package setup: a pure-Python install with the ``repro`` console script."""
 
 from setuptools import setup
 
-#: modules worth compiling: the event-store kernel and the Dummynet pipe
-#: driver, i.e. where ``repro bench --profile`` attributes the host time
-NATIVE_MODULES = [
-    "src/repro/sim/core.py",
-    "src/repro/net/dummynet.py",
-]
-
-
-def _native_ext_modules():
-    if os.environ.get("REPRO_NATIVE") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        print("REPRO_NATIVE=1 set but mypyc is unavailable; "
-              "building pure Python (pip install .[native] to enable)")
-        return []
-    return mypycify(NATIVE_MODULES, opt_level="3")
-
-
 setup(
-    ext_modules=_native_ext_modules(),
     entry_points={
         "console_scripts": ["repro=repro.__main__:main"],
     },

@@ -11,8 +11,8 @@ Subcommands:
 * ``lint``      — the determinism sanitizer (per-file rules DET001–DET008
                   plus whole-program rules DET009/DET010 and CKPT001–003;
                   see docs/determinism.md and docs/static-analysis.md)
-* ``bench``     — event-core performance benchmarks (fast path vs the
-                  legacy Event path; writes ``BENCH_sim_core.json``; see
+* ``bench``     — event-core performance benchmarks, gated on the stored
+                  golden digests (writes ``BENCH_sim_core.json``; see
                   docs/performance.md)
 * ``faults``    — seeded fault-storm: a lossy control bus plus a node
                   crash mid-save must not stop a supervised checkpoint;
@@ -235,13 +235,14 @@ def cmd_trace(args) -> int:
         digest, golden = report.digest, None
     else:
         from repro.bench.runner import _golden_pipeline_digests
-        from repro.bench.scenarios import (make_sim, run_ckpt10, run_fig4,
-                                           run_fig5, run_fig6, run_fig7)
+        from repro.bench.scenarios import (run_ckpt10, run_fig4, run_fig5,
+                                           run_fig6, run_fig7)
+        from repro.sim import Simulator
 
         runners = {"ckpt10_coordinated": run_ckpt10, "fig4_sleep": run_fig4,
                    "fig5_cpuburn": run_fig5, "fig6_iperf": run_fig6,
                    "fig7_bittorrent": run_fig7}
-        sim = make_sim()
+        sim = Simulator()
         tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
         digest = runners[args.scenario](sim, tracer=tracer)
         records = tracer.records
@@ -528,9 +529,8 @@ def main(argv=None) -> int:
                             "as a JSON report")
     bench.add_argument("--scenario-file", metavar="PATH",
                        help="bench a declarative scenario file instead of "
-                            "the built-in registry: run it in both "
-                            "scheduling modes (or twice, for survival "
-                            "digests) and assert the digests agree")
+                            "the built-in registry: run it twice and "
+                            "assert the digests agree")
     scenario = sub.add_parser("scenario",
                               help="run one declarative scenario file "
                                    "(docs/scenarios.md)")

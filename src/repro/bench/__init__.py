@@ -1,12 +1,11 @@
 """Performance benchmarks for the event-core hot path.
 
-``repro bench`` measures the scheduling fast path against the legacy
-Event-per-callback path on four scenarios — two synthetic kernel
-microbenchmarks and the two paper figures whose rigs stress the network
-hot path — and records the results in ``BENCH_sim_core.json`` at the
-repository root.  The same scenario builders back the equivalence tests
-(`tests/test_fastpath_equivalence.py`), which prove the two paths produce
-bit-identical experiment digests.
+``repro bench`` times two synthetic kernel microbenchmarks, a saturated
+Dummynet pipe, the paper-figure rigs, and the checkpoint, tracing and
+snapshot scenarios, and records the results in ``BENCH_sim_core.json`` at
+the repository root.  The same scenario builders back the golden-digest
+tests (``tests/test_golden_digests.py``), which pin each rig's experiment
+digest to the stored goldens.
 """
 
 from repro.bench.scenarios import (build_fig6_rig, build_fig7_rig,

@@ -1,17 +1,16 @@
-"""Benchmark scenarios, parameterized by the simulator's scheduling mode.
+"""Benchmark scenarios, each built on a caller-supplied simulator.
 
-Every scenario builds its world through the public API with an explicitly
-configured :class:`~repro.sim.core.Simulator`, so the same code runs the
-optimized path (``fast_path=True, packet_trains=True``) and the legacy
-Event-per-callback path (``fast_path=False, packet_trains=False``)
-side by side.  The figure scenarios return an
-:func:`~repro.analysis.digest.experiment_digest`, which the equivalence
-tests assert is identical across modes.
+Every scenario builds its world through the public API on the
+:class:`~repro.sim.core.Simulator` it is given.  The figure scenarios
+return an :func:`~repro.analysis.digest.experiment_digest`, which the
+golden-digest tests and ``repro bench`` compare against the stored
+goldens in ``benchmarks/results/PIPELINE_digests.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from heapq import heappop, heappush
 from typing import Optional, Tuple
 
 from repro.analysis.digest import (branch_digest, checkpoint_result_parts,
@@ -24,14 +23,35 @@ from repro.testbed.schedule import (periodic_coordinated_checkpoints,
 from repro.units import GB, GBPS, MB, MBPS, MS, SECOND, US
 
 
-def make_sim(fast_path: bool = True, packet_trains: bool = True,
-             batch_pipes: bool = True) -> Simulator:
-    """A simulator in the requested scheduling mode."""
-    return Simulator(fast_path=fast_path, packet_trains=packet_trains,
-                     batch_pipes=batch_pipes)
-
-
 # -- kernel microbenchmarks ----------------------------------------------------
+
+
+def run_calibrator(events: int = 200_000, chains: int = 64) -> int:
+    """Host-speed yardstick: :func:`run_event_churn`'s shape in bare heapq.
+
+    ``chains`` self-rescheduling Python callbacks on a plain ``heapq`` of
+    ``(when, seq, fn)`` tuples, with no simulator code at all.  Timed
+    next to ``event_churn`` in the same process, its cost cancels host
+    speed and load out of the churn gate.  Keep it frozen: editing it
+    moves the gate's yardstick.  Returns the number of callbacks fired.
+    """
+    heap: list = []
+    state = {"fired": 0, "seq": 0}
+    limit = events - chains
+
+    def tick(now: int) -> None:
+        state["fired"] += 1
+        if state["fired"] <= limit:
+            state["seq"] += 1
+            heappush(heap, (now + 1000, state["seq"], tick))
+
+    for i in range(chains):
+        state["seq"] += 1
+        heappush(heap, (10 + i, state["seq"], tick))
+    while heap:
+        now, _seq, fn = heappop(heap)
+        fn(now)
+    return state["fired"]
 
 
 def run_event_churn(sim: Simulator, events: int = 200_000,
@@ -62,10 +82,9 @@ def run_timer_storm(sim: Simulator, rounds: int = 400,
 
     Each round arms ``timers`` long-deadline timers (60 s out, like
     retransmission timers) and immediately cancels all but one — the
-    "ack arrived, rearm" pattern.  On the legacy path every cancelled
-    timer's Event stays on the heap until its 60 s deadline, so the heap
-    grows by ~``rounds * timers`` tombstones; the fast path reclaims them
-    via lazy deletion + compaction.  Returns (timers armed, timers fired).
+    "ack arrived, rearm" pattern.  Without lazy deletion + compaction
+    every cancelled timer would sit in the store until its 60 s deadline.
+    Returns (timers armed, timers fired).
     """
     svc = SimTimerService(sim)
     state = {"fired": 0}
@@ -91,10 +110,9 @@ def run_pipe_saturation(sim: Simulator, packets: int = 20_000,
     Pumps ``packets`` packets through one shaped pipe (bandwidth + delay
     line) in ``bursts`` back-to-back bursts, refilling the router queue
     from the sink callback so the bandwidth server never idles — the
-    steady-state load the batched advance (``Simulator(batch_pipes=True)``)
-    exists for.  Returns a digest over every delivery instant and packet
-    identity, so any scheduling divergence between the merged-advance and
-    two-call pipe drivers changes the result.
+    steady-state load of the merged advance driver.  Returns a digest over
+    every delivery instant and packet identity, so any scheduling change
+    in the pipe driver changes the result.
     """
     from repro.net.dummynet import Pipe, PipeConfig
     from repro.net.packet import Packet
@@ -192,7 +210,7 @@ def run_fig6(sim: Simulator, run_seconds: int = 20, num_ckpts: int = 3,
 
     Returns the experiment digest, which covers guest virtual time, TCP
     sequence state and counters, storage content maps, and delay-node
-    occupancy — any scheduling divergence between modes changes it.
+    occupancy — any scheduling divergence changes it.
     """
     from repro.workloads import IperfSession
 
@@ -323,8 +341,8 @@ def run_fig5(sim: Simulator, iterations: int = 30, num_ckpts: int = 3,
 def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
     """The Figure 8 scenario (Bonnie++ on COW storage configurations).
 
-    Each configuration runs in its own simulator (same scheduling mode as
-    ``sim``); the digest covers the branch content maps and throughputs.
+    Each configuration after ``base`` runs in its own fresh simulator; the
+    digest covers the branch content maps and throughputs.
     """
     from repro.hw import Disk, DiskSpec
     from repro.storage import (BranchConfig, CowMode, Extent, LinearVolume,
@@ -334,9 +352,7 @@ def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
     golden_blocks = 120_000
     parts: list = []
     for config_name in ("base", "branch", "branch-aged", "branch-orig"):
-        config_sim = sim if config_name == "base" else Simulator(
-            fast_path=sim.fast_path, packet_trains=sim.packet_trains,
-            batch_pipes=sim.batch_pipes)
+        config_sim = sim if config_name == "base" else Simulator()
         disk = Disk(config_sim, DiskSpec(capacity_bytes=16 * GB))
         branch = None
         if config_name == "base":

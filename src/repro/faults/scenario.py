@@ -176,5 +176,5 @@ def run_fault_free_ckpt10(seed: int = 10) -> str:
     """
     from repro.bench.scenarios import run_ckpt10
 
-    sim = Simulator(fast_path=True, packet_trains=True)
+    sim = Simulator()
     return run_ckpt10(sim, seed=seed, faults=FaultInjector(sim, FaultPlan()))

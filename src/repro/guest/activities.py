@@ -6,9 +6,11 @@ tasklets, workqueues), and timer jobs — and modifies the kernel's dispatch
 points so each class can be selectively stopped.  We model the same set as
 an enum plus a gate table; every dispatch funnels through
 :meth:`GateTable.check`, which raises :class:`FirewallViolation` if a gated
-class tries to run.  During a correct checkpoint that never happens (the
-activity sources are already stopped); the exception exists so tests can
-prove it.
+class tries to run.  Guest timers are the one source that can still
+expire inside the firewall — in the few microseconds between closing the
+gates and freezing the timer wheel — so the kernel checks the TIMER gate
+with :meth:`GateTable.is_closed` instead and holds such a timer, like a
+pending timer softirq, until the firewall reopens the gates.
 """
 
 from __future__ import annotations

@@ -123,7 +123,10 @@ class TemporalFirewall:
         # 3'. Re-open the dispatch gates *before* re-arming timers: a
         # deadline may already have expired (the clock re-base leaks a few
         # microseconds of downtime) and must be dispatchable immediately.
+        # Timers that expired between gate-close and wheel-freeze on the
+        # way up were held; they run first, in expiry order.
         kernel.gates.open(INSIDE_FIREWALL)
+        kernel.dispatch_held_timers()
         yield kernel.sim.timeout(self._step_cost())
         # 4'. Re-arm the timer wheel against the resumed clock.
         kernel.timers.thaw()

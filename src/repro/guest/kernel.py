@@ -57,6 +57,11 @@ class GuestKernel:
         self._user_tag = f"{name}/u/"
         self._kernel_tag = f"{name}/k/"
         self._outside_tag = f"{name}/ckpt/"
+        #: timers that expired while the TIMER gate was closed, held like
+        #: a pending timer softirq until the firewall reopens the gates
+        self._held_timers: list[Event] = []
+        #: how many timers were ever held that way (visible, not silent)
+        self.timers_held = 0
 
     # ------------------------------------------------------------------ time API
 
@@ -96,8 +101,19 @@ class GuestKernel:
         return ev
 
     def _fire_timer(self, ev: Event) -> None:
-        self.gates.check(Activity.TIMER)
+        # The firewall closes the gates a few microseconds before it
+        # freezes the wheel; a timer expiring in that window is held.
+        if self.gates.is_closed(Activity.TIMER):
+            self._held_timers.append(ev)
+            self.timers_held += 1
+            return
         ev.succeed()
+
+    def dispatch_held_timers(self) -> None:
+        """Fire, in expiry order, the timers held while gates were closed."""
+        held, self._held_timers = self._held_timers, []
+        for ev in held:
+            ev.succeed()
 
     def cpu(self, work_ns: int, weight: float = 1.0,
             kind: ThreadKind = ThreadKind.USER) -> Event:

@@ -12,7 +12,7 @@ nominal deadline and handler execution, standing in for timer-interrupt
 granularity and softirq scheduling.  This slack is what bounds Figure 4's
 baseline timer accuracy (97% of iterations within 28 µs).
 
-Scheduling goes through the simulator's fast path: one
+Scheduling goes through the simulator's scheduled calls: one
 :class:`~repro.sim.core.ScheduledCall` per distinct fire instant (all
 timers expiring at that instant share it, firing in arming order).  A
 cancelled :class:`~repro.sim.timers.TimerHandle` is unhooked from its batch

@@ -85,8 +85,8 @@ def _touched_components(event, _depth: int = 0) -> Dict[int, str]:
     :class:`~repro.sim.core.Simulator` itself is excluded: everything
     touches it.
 
-    ``event`` is either an :class:`~repro.sim.core.Event` (legacy path,
-    inspect its callbacks) or a fast-path callable (inspect it directly).
+    ``event`` is either an :class:`~repro.sim.core.Event` (inspect its
+    callbacks) or a scheduled callable (inspect it directly).
     """
     touched: Dict[int, str] = {}
     callbacks = getattr(event, "callbacks", None)
@@ -147,8 +147,8 @@ class EventRaceDetector:
     def observe(self, when: int, priority: int, seq: int, event) -> None:
         """Called by the simulator just before an event is processed.
 
-        ``event`` is the popped heap item: an Event on the legacy path, the
-        scheduled callable itself on the fast path.
+        ``event`` is the popped store item: an Event, or the scheduled
+        callable itself.
         """
         self.events_observed += 1
         key = (when, priority)

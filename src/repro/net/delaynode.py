@@ -11,12 +11,10 @@ and is otherwise invisible to the endpoints.  :func:`install_shaped_link`
 wires two hosts together through a delay node, mirroring how the testbed
 stitches VLANs.
 
-Under ``Simulator(batch_pipes=True)`` (the default) each directional pipe
-drives itself with a single merged advance call instead of separate
-transmission and delay-line handles, so a busy delay node keeps two armed
-event-store entries total — see :mod:`repro.net.dummynet` for the batching
-conditions and :meth:`DelayNode.freeze` semantics (freezing cancels both
-pipes' armed calls).
+Each directional pipe drives itself with a single merged advance call, so
+a busy delay node keeps two armed event-store entries total — see
+:mod:`repro.net.dummynet` for the driver and :meth:`DelayNode.freeze`
+semantics (freezing cancels both pipes' armed calls).
 """
 
 from __future__ import annotations

@@ -15,26 +15,14 @@ live-checkpoint protocol, including virtualizing the pipe clock so queued
 packets resume with their *remaining* service times (§4.4's "virtualizing
 time to account for the time spent in the checkpoint").
 
-Scheduling rides the simulator's fast path with cancellable handles, in one
-of two modes:
-
-* **batch mode** (``Simulator(batch_pipes=True)``, the default) — the whole
-  pipe is driven by a *single* armed
-  :class:`~repro.sim.core.ScheduledCall` at the earliest pending action
-  (transmission finish or delay-line head delivery).  One
-  :meth:`_advance` fire drains *everything* due at that instant in one
-  pass — finish the transmission, deliver every due delay-line entry,
-  start the next transmission — instead of one event-store round trip per
-  packet per stage.  Between checkpoint epochs a saturated pipe therefore
-  costs one scheduled entry per distinct action instant, and the re-arm is
-  skipped entirely while an earlier-or-equal call is already pending.
-* **two-call mode** (``batch_pipes=False``) — the pre-batching layout: the
-  bandwidth server keeps one handle for the transmission in progress and
-  the delay line keeps one for its head entry.  Kept for A/B equivalence
-  runs; `repro bench` drives both and gates on identical delivery digests.
-
-Freezing cancels the armed handle(s), which reclaims the event-store
-entries lazily instead of leaving fire-time-checked tombstones behind.
+The whole pipe is driven by a *single* armed
+:class:`~repro.sim.core.ScheduledCall` at the earliest pending action
+(transmission finish or delay-line head delivery).  One :meth:`_advance`
+fire drains *everything* due at that instant in one pass — finish the
+transmission, deliver every due delay-line entry, start the next
+transmission — and re-arms once.  The re-arm is skipped entirely while an
+earlier-or-equal call is already pending.  Freezing cancels that one
+handle, and a snapshot records its one ``(when, seq)`` event triple.
 """
 
 from __future__ import annotations
@@ -92,9 +80,8 @@ class Pipe:
     """One shaping pipe: bounded queue -> bandwidth server -> delay line."""
 
     __slots__ = ("sim", "config", "sink", "rng", "name", "_queue",
-                 "_transmitting", "_delay_line", "_batch", "_advance_call",
-                 "_armed_at", "_armed_seq", "_tx_call", "_tx_seq",
-                 "_delay_call", "_delay_seq", "_frozen",
+                 "_transmitting", "_delay_line", "_advance_call",
+                 "_armed_at", "_armed_seq", "_frozen",
                  "_bw", "_delay_ns", "_schedule",
                  "submitted", "delivered", "dropped_loss", "dropped_queue",
                  "frozen_arrivals")
@@ -111,8 +98,7 @@ class Pipe:
         self._queue: List[Packet] = []      # bounded by config.queue_slots
         self._transmitting: Optional[Tuple[Packet, int]] = None  # (pkt, finish)
         self._delay_line: deque = deque()                   # (pkt, deliver_at)
-        # batch mode: drive everything through one merged advance call
-        self._batch = bool(getattr(sim, "batch_pipes", True))
+        # the one merged advance call that drives the pipe
         self._advance_call: Optional[ScheduledCall] = None
         self._armed_at = -1                 # instant the advance call is armed for
         self._armed_seq = -1                # its event-store seq (for snapshots)
@@ -120,11 +106,6 @@ class Pipe:
         self._bw = config.bandwidth_bps
         self._delay_ns = config.delay_ns
         self._schedule = sim.schedule_tracked
-        # two-call mode state (unused when batching)
-        self._tx_call: Optional[ScheduledCall] = None
-        self._tx_seq = -1
-        self._delay_call: Optional[ScheduledCall] = None
-        self._delay_seq = -1
         self._frozen = False
         self.submitted = 0
         self.delivered = 0
@@ -150,17 +131,14 @@ class Pipe:
             # will be shaped after thaw like any backlog.
             self.frozen_arrivals += 1
             return
-        if self._batch:
-            if self._transmitting is None:
-                pkt = self._queue.pop(0)
-                # inlined transmission_time_ns (ceil division, >= 1 ns)
-                tx = -(-pkt.wire_bytes * _BITS_TO_NS // self._bw)
-                self._transmitting = (pkt, self.sim.now + tx)
-                self._arm()
-            return
-        self._start_transmission()
+        if self._transmitting is None:
+            pkt = self._queue.pop(0)
+            # inlined transmission_time_ns (ceil division, >= 1 ns)
+            tx = -(-pkt.wire_bytes * _BITS_TO_NS // self._bw)
+            self._transmitting = (pkt, self.sim.now + tx)
+            self._arm()
 
-    # -- batch mode: one merged advance call -------------------------------------
+    # -- the merged advance call -------------------------------------------------
 
     def _arm(self) -> None:
         """Ensure the advance call fires no later than the earliest action.
@@ -229,53 +207,6 @@ class Pipe:
             self._transmitting = (packet, now + tx)
         self._arm()
 
-    # -- two-call mode (batch_pipes=False) ----------------------------------------
-
-    def _start_transmission(self) -> None:
-        if self._transmitting is not None or not self._queue:
-            return
-        packet = self._queue.pop(0)
-        tx = transmission_time_ns(packet.wire_bytes, self.config.bandwidth_bps)
-        finish = self.sim.now + tx
-        self._transmitting = (packet, finish)
-        self._tx_call, self._tx_seq = self.sim.schedule_tracked(
-            finish, self._finish_transmission)
-
-    def _finish_transmission(self) -> None:
-        assert self._transmitting is not None
-        packet, _finish = self._transmitting
-        self._transmitting = None
-        self._tx_call = None
-        self._tx_seq = -1
-        if self.config.delay_ns == 0:
-            # Fast path: no delay line to ride.
-            self.delivered += 1
-            self.sink(packet)
-        else:
-            self._enter_delay_line(packet, self.sim.now + self.config.delay_ns)
-        self._start_transmission()
-
-    def _enter_delay_line(self, packet: Packet, deliver_at: int) -> None:
-        # FIFO service + constant delay keeps deliver_at monotone, so the
-        # whole line is served by one scheduled call armed for its head.
-        self._delay_line.append((packet, deliver_at))
-        if self._delay_call is None:
-            self._delay_call, self._delay_seq = self.sim.schedule_tracked(
-                self._delay_line[0][1], self._emerge_due)
-
-    def _emerge_due(self) -> None:
-        self._delay_call = None
-        self._delay_seq = -1
-        line = self._delay_line
-        now = self.sim.now
-        while line and line[0][1] <= now:
-            packet, _t = line.popleft()
-            self.delivered += 1
-            self.sink(packet)
-        if line:
-            self._delay_call, self._delay_seq = self.sim.schedule_tracked(
-                line[0][1], self._emerge_due)
-
     # -- introspection -------------------------------------------------------------
 
     @property
@@ -314,9 +245,8 @@ class Pipe:
         """Drop the packet closest to delivery (an injected loss).
 
         Takes from the router queue first, then from the delay line (a
-        loss in flight); the scheduled delivery notices the shorter line
-        and re-arms for the new head (in batch mode the already-armed
-        advance simply fires early and finds nothing due).
+        loss in flight); the armed advance call then fires early, finds
+        nothing due, and re-arms for the new head.
         """
         if self._queue:
             self.dropped_queue += 1
@@ -336,21 +266,13 @@ class Pipe:
         self._frozen = True
         now = self.sim.now
         # Convert absolute deadlines into remaining times and cancel the
-        # scheduled callbacks — the pipe's virtual clock stops and the
-        # event-store entries are reclaimed lazily.
+        # advance call — the pipe's virtual clock stops and the event-store
+        # entry is reclaimed lazily.
         if self._advance_call is not None:
             self._advance_call.cancel()
             self._advance_call = None
             self._armed_at = -1
             self._armed_seq = -1
-        if self._tx_call is not None:
-            self._tx_call.cancel()
-            self._tx_call = None
-            self._tx_seq = -1
-        if self._delay_call is not None:
-            self._delay_call.cancel()
-            self._delay_call = None
-            self._delay_seq = -1
         if self._transmitting is not None:
             packet, finish = self._transmitting
             self._transmitting = (packet, max(0, finish - now))
@@ -363,32 +285,16 @@ class Pipe:
             raise CheckpointError(f"pipe {self.name} is not frozen")
         self._frozen = False
         now = self.sim.now
-        if self._batch:
-            if self._transmitting is not None:
-                packet, remaining = self._transmitting
-                self._transmitting = (packet, now + remaining)
-            self._delay_line = deque((p, now + r)
-                                     for p, r in self._delay_line)
-            if self._transmitting is None and self._queue:
-                packet = self._queue.pop(0)
-                tx = transmission_time_ns(packet.wire_bytes,
-                                          self.config.bandwidth_bps)
-                self._transmitting = (packet, now + tx)
-            self._arm()
-            return
         if self._transmitting is not None:
             packet, remaining = self._transmitting
-            finish = now + remaining
-            self._transmitting = (packet, finish)
-            self._tx_call = self.sim.schedule_call(finish,
-                                                   self._finish_transmission)
-        # Re-arm the delay line with remaining times.
-        entries = [(p, now + r) for p, r in self._delay_line]
-        self._delay_line = deque()
-        for packet, deliver_at in entries:
-            self._enter_delay_line(packet, deliver_at)
-        if self._transmitting is None:
-            self._start_transmission()
+            self._transmitting = (packet, now + remaining)
+        self._delay_line = deque((p, now + r) for p, r in self._delay_line)
+        if self._transmitting is None and self._queue:
+            packet = self._queue.pop(0)
+            tx = transmission_time_ns(packet.wire_bytes,
+                                      self.config.bandwidth_bps)
+            self._transmitting = (packet, now + tx)
+        self._arm()
 
     def capture_state(self) -> PipeSnapshot:
         """Serialize the pipe non-destructively (must be frozen)."""
@@ -420,8 +326,8 @@ class Pipe:
         """The pipe's full state as a JSON-serializable dict.
 
         Works frozen (times are remaining-ns, nothing armed) or running
-        (times are absolute instants and every armed call records its
-        exact ``(when, seq)`` event triple for verbatim re-insertion).
+        (times are absolute instants and the armed advance call records
+        its exact ``(when, seq)`` event triple for verbatim re-insertion).
         Packet uids are not preserved across the boundary — restored
         packets draw fresh ids; nothing orders or digests on uid.
         """
@@ -430,7 +336,7 @@ class Pipe:
         cfg = self.config
         tx = self._transmitting
         return {
-            "name": self.name, "frozen": self._frozen, "batch": self._batch,
+            "name": self.name, "frozen": self._frozen,
             "config": {"bandwidth_bps": cfg.bandwidth_bps,
                        "delay_ns": cfg.delay_ns,
                        "loss_probability": cfg.loss_probability,
@@ -441,11 +347,7 @@ class Pipe:
             "delay_line": [[encode_packet(p), t]
                            for p, t in self._delay_line],
             "calls": {"advance": [self._armed_at, self._armed_seq]
-                      if self._advance_call is not None else None,
-                      "tx": ([self._transmitting[1], self._tx_seq]
-                             if self._tx_call is not None else None),
-                      "delay": ([self._delay_line[0][1], self._delay_seq]
-                                if self._delay_call is not None else None)},
+                      if self._advance_call is not None else None},
             "counters": {"submitted": self.submitted,
                          "delivered": self.delivered,
                          "dropped_loss": self.dropped_loss,
@@ -458,15 +360,15 @@ class Pipe:
         """Re-apply a :meth:`serialize_state` payload to this empty pipe.
 
         The pipe must be freshly built (no packets in flight, nothing
-        armed) and structurally identical — same config and scheduling
-        mode.  Armed calls are re-inserted with their original event
-        triples via :meth:`~repro.sim.core.Simulator.restore_call`, so
-        the restored world pops them in replay-identical order.
+        armed) and structurally identical — same name and config.  The
+        armed advance call is re-inserted with its original event triple
+        via :meth:`~repro.sim.core.Simulator.restore_call`, so the
+        restored world pops it in replay-identical order.
         """
         from repro.sim.core import NORMAL
         from repro.sim.random import rng_state_from_json
 
-        expected = ("name", "frozen", "batch", "config", "queue",
+        expected = ("name", "frozen", "config", "queue",
                     "transmitting", "delay_line", "calls", "counters",
                     "rng")
         if not isinstance(state, dict) or set(state) != set(expected):
@@ -474,10 +376,6 @@ class Pipe:
         if state["name"] != self.name:
             raise CheckpointError(
                 f"pipe {self.name}: payload belongs to {state['name']!r}")
-        if state["batch"] != self._batch:
-            raise CheckpointError(
-                f"pipe {self.name}: scheduling-mode mismatch "
-                f"(snapshot batch={state['batch']})")
         cfg = self.config
         if state["config"] != {"bandwidth_bps": cfg.bandwidth_bps,
                                "delay_ns": cfg.delay_ns,
@@ -485,8 +383,7 @@ class Pipe:
                                "queue_slots": cfg.queue_slots}:
             raise CheckpointError(
                 f"pipe {self.name}: configuration mismatch")
-        if self.packets_in_flight or self._advance_call is not None or \
-                self._tx_call is not None or self._delay_call is not None:
+        if self.packets_in_flight or self._advance_call is not None:
             raise CheckpointError(
                 f"pipe {self.name}: restore requires an idle pipe")
         self._frozen = bool(state["frozen"])
@@ -504,23 +401,17 @@ class Pipe:
         self.frozen_arrivals = counters["frozen_arrivals"]
         self.rng.setstate(rng_state_from_json(state["rng"]))
         calls = state["calls"]
-        if self._frozen:
-            if any(calls.values()):
-                raise CheckpointError(
-                    f"pipe {self.name}: frozen payload with armed calls")
+        if set(calls) != {"advance"}:
+            raise CheckpointError(f"pipe {self.name}: malformed calls")
+        advance = calls["advance"]
+        if advance is None:
             return
-        if calls["advance"] is not None:
-            self._armed_at, self._armed_seq = calls["advance"]
-            self._advance_call = self.sim.restore_call(
-                self._armed_at, NORMAL, self._armed_seq, self._advance)
-        if calls["tx"] is not None:
-            finish, self._tx_seq = calls["tx"]
-            self._tx_call = self.sim.restore_call(
-                finish, NORMAL, self._tx_seq, self._finish_transmission)
-        if calls["delay"] is not None:
-            head_at, self._delay_seq = calls["delay"]
-            self._delay_call = self.sim.restore_call(
-                head_at, NORMAL, self._delay_seq, self._emerge_due)
+        if self._frozen:
+            raise CheckpointError(
+                f"pipe {self.name}: frozen payload with an armed call")
+        self._armed_at, self._armed_seq = advance
+        self._advance_call = self.sim.restore_call(
+            self._armed_at, NORMAL, self._armed_seq, self._advance)
 
 
 def encode_packet(packet: Packet) -> dict:

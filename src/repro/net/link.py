@@ -15,9 +15,8 @@ itself for the next head — per-packet arrival timing is reconstructed
 exactly (bit-identical to per-packet scheduling) while the event heap holds
 one entry per busy direction instead of one per in-flight packet, and the
 scheduled item is one prebound callable reused for the whole train (zero
-per-packet allocation).  Batching disengages whenever the train drains (the
-direction goes idle); construct the :class:`~repro.sim.core.Simulator` with
-``packet_trains=False`` to force per-packet delivery events.
+per-packet allocation).  The train disengages whenever it drains (the
+direction goes idle) and re-engages on the next transmission.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class _Direction:
             # that synchronously transmits again must see consistent state.
             self.schedule(train[0][0], self.fire)
         else:
-            self.scheduled = False          # train drained: batching disengages
+            self.scheduled = False          # train drained
         self.queued -= 1
         self.deliver(packet)
 
@@ -71,7 +70,7 @@ class Link:
     """A full-duplex wire between two interfaces."""
 
     __slots__ = ("sim", "bandwidth_bps", "propagation_ns", "queue_packets",
-                 "batching", "_dirs")
+                 "_dirs")
 
     def __init__(self, sim: Simulator, a: Interface, b: Interface,
                  bandwidth_bps: int = GBPS, propagation_ns: int = 1 * US,
@@ -84,7 +83,6 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.propagation_ns = propagation_ns
         self.queue_packets = queue_packets
-        self.batching = sim.packet_trains
         self._dirs = {a: _Direction(sim, a, b), b: _Direction(sim, b, a)}
         a.link = self
         b.link = self
@@ -104,19 +102,10 @@ class Link:
         direction.busy_until = finish
         direction.queued += 1
         arrive = finish + self.propagation_ns
-
-        if self.batching:
-            direction.train.append((arrive, packet))
-            if not direction.scheduled:
-                direction.scheduled = True
-                direction.schedule(arrive, direction.fire)
-            return
-
-        def deliver() -> None:
-            direction.queued -= 1
-            direction.dst.deliver(packet)
-
-        self.sim.schedule_fn(arrive, deliver)
+        direction.train.append((arrive, packet))
+        if not direction.scheduled:
+            direction.scheduled = True
+            direction.schedule(arrive, direction.fire)
 
     def drops(self, src: Interface) -> int:
         """Packets dropped at ``src``'s transmit queue."""

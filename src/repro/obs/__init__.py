@@ -1,7 +1,6 @@
 """repro.obs — the observability layer: tracing, spans, sinks, metrics.
 
-Subsumes the original flat ``repro.sim.trace`` list tracer (which now
-re-exports from here) and adds duration spans, pluggable sinks, a
+Point trace records plus duration spans, pluggable sinks, a
 Chrome/Perfetto timeline exporter, a labelled metrics registry, and an
 event-loop profiler.  See ``docs/observability.md`` for the guided tour.
 """

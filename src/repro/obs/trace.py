@@ -1,8 +1,7 @@
 """Structured tracing: point records and duration spans over sinks.
 
-This module is the core of :mod:`repro.obs`, the observability layer
-that subsumes the original flat ``repro.sim.trace`` list tracer.  Two
-record shapes flow through one :class:`Tracer`:
+This module is the core of :mod:`repro.obs`, the observability layer.
+Two record shapes flow through one :class:`Tracer`:
 
 * :class:`TraceRecord` — a point occurrence (``tracer.record``);
 * :class:`SpanRecord` — a *duration* with a start, an end, and a track

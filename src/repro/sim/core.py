@@ -31,7 +31,7 @@ Two kinds of item ride the store:
   by processes, with a value, callbacks, and failure propagation; events
   are callable (dispatch invokes ``event()``) so the hot loop never needs
   an ``isinstance`` check;
-* the scheduling **fast path** — :meth:`Simulator.schedule_call` pushes a
+* plain scheduled calls — :meth:`Simulator.schedule_call` pushes a
   single slotted :class:`ScheduledCall` handle (cancellable), and
   :meth:`Simulator.schedule_fn` pushes the bare callable itself.  Neither
   allocates an Event, a callback list, or a wrapper lambda, which is what
@@ -206,23 +206,18 @@ class Timeout(Event):
 
 
 class ScheduledCall:
-    """A cancellable handle for one fast-path scheduled callback.
+    """A cancellable handle for one scheduled callback.
 
     The handle *is* the stored item: cancelling sets ``fn`` to ``None``
     (releasing the callback and anything it closes over immediately) and the
-    simulator skips the tombstone when it reaches the head of its lane.  In
-    legacy mode (``Simulator(fast_path=False)``) the handle instead guards a
-    conventional :class:`Event`, reproducing the pre-fast-path fire-time
-    tombstone semantics for A/B equivalence runs.
+    simulator skips the tombstone when it reaches the head of its lane.
     """
 
-    __slots__ = ("sim", "fn", "_direct")
+    __slots__ = ("sim", "fn")
 
-    def __init__(self, sim: "Simulator", fn: Callable[[], None],
-                 direct: bool = True) -> None:
+    def __init__(self, sim: "Simulator", fn: Callable[[], None]) -> None:
         self.sim = sim
         self.fn: Optional[Callable[[], None]] = fn
-        self._direct = direct
 
     @property
     def active(self) -> bool:
@@ -235,19 +230,11 @@ class ScheduledCall:
         if self.fn is None:
             return
         self.fn = None
-        if self._direct:
-            sim = self.sim
-            sim._dead += 1
-            if (sim._dead >= sim.COMPACT_MIN and
-                    sim._dead * 2 > len(sim._heap) + len(sim._tail)):
-                sim._compact()
-
-    def _event_fire(self, _event: "Event") -> None:
-        # Legacy-mode trampoline: the Event fires, the handle decides.
-        fn = self.fn
-        if fn is not None:
-            self.fn = None
-            fn()
+        sim = self.sim
+        sim._dead += 1
+        if (sim._dead >= sim.COMPACT_MIN and
+                sim._dead * 2 > len(sim._heap) + len(sim._tail)):
+            sim._compact()
 
     def __repr__(self) -> str:
         state = "pending" if self.fn is not None else "done"
@@ -255,41 +242,24 @@ class ScheduledCall:
 
 
 class Simulator:
-    """The event loop: a clock plus the two-lane store of scheduled events.
-
-    ``fast_path``, ``packet_trains`` and ``batch_pipes`` exist so one binary
-    can run the optimized and the legacy scheduling paths side by side
-    (equivalence tests, `repro bench`); all default on and production code
-    never turns them off.
-    """
+    """The event loop: a clock plus the two-lane store of scheduled events."""
 
     #: lazy-deletion compaction knobs: compact when at least COMPACT_MIN
     #: tombstones exist *and* they outnumber live entries
     COMPACT_MIN = 64
 
     __slots__ = ("now", "_heap", "_tail", "_seq", "_dead", "_running",
-                 "fast_path", "packet_trains", "batch_pipes",
                  "race_detector", "profiler")
 
-    def __init__(self, *, fast_path: bool = True,
-                 packet_trains: bool = True,
-                 batch_pipes: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         #: heap lane: out-of-order entries, C-heapq ordered
         self._heap: list[tuple[int, int, int, Any]] = []
         #: tail lane: monotone entries, sorted by construction
         self._tail: deque = deque()
         self._seq = 0
-        self._dead = 0                      # cancelled fast-path tombstones
+        self._dead = 0                      # cancelled ScheduledCall tombstones
         self._running = False
-        #: scheduling fast path on (ScheduledCall heap items) or legacy
-        #: (every scheduled callback wrapped in a full Event)
-        self.fast_path = fast_path
-        #: links/delay nodes coalesce back-to-back packets into trains
-        self.packet_trains = packet_trains
-        #: Dummynet pipes keep one merged advance call per pipe and drain
-        #: same-instant runs inline (see repro.net.dummynet)
-        self.batch_pipes = batch_pipes
         #: opt-in runtime determinism checker (see repro.lint.runtime);
         #: None means zero-overhead normal operation.  Attach *before*
         #: calling run(): the run loop is specialized per run() call.
@@ -324,42 +294,31 @@ class Simulator:
         """Invoke ``fn()`` after ``delay`` nanoseconds."""
         return self.schedule_call(self.now + delay, fn, priority)
 
-    # -- the scheduling fast path ---------------------------------------------
+    # -- scheduled calls ------------------------------------------------------
 
     def schedule_call(self, when: int, fn: Callable[[], None],
                       priority: int = NORMAL) -> ScheduledCall:
         """Schedule ``fn()`` at absolute time ``when``; returns a handle.
 
-        The fast path pushes one slotted :class:`ScheduledCall` — no Event,
+        Pushes one slotted :class:`ScheduledCall` — no Event,
         no callback list, no wrapper lambda.  ``handle.cancel()`` removes
         the entry lazily (skipped at pop, compacted past the threshold).
         """
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self.now}")
-        if self.fast_path:
-            self._seq = seq = self._seq + 1
-            handle = ScheduledCall(self, fn)
-            tail = self._tail
-            if tail:
-                last = tail[-1]
-                lw = last[0]
-                if when > lw or (when == lw and priority >= last[1]):
-                    tail.append((when, priority, seq, handle))
-                else:
-                    heappush(self._heap, (when, priority, seq, handle))
-            else:
+        self._seq = seq = self._seq + 1
+        handle = ScheduledCall(self, fn)
+        tail = self._tail
+        if tail:
+            last = tail[-1]
+            lw = last[0]
+            if when > lw or (when == lw and priority >= last[1]):
                 tail.append((when, priority, seq, handle))
-            return handle
-        # Legacy path, reproducing the pre-fast-path implementation: a
-        # Timeout event plus a wrapper lambda per scheduled callback;
-        # cancelled entries stay on the heap until their deadline
-        # (fire-time check).  Seq consumption matches the fast path — one
-        # per call, via Timeout's _enqueue — so both modes tie-break
-        # identically.
-        handle = ScheduledCall(self, fn, direct=False)
-        ev = self._legacy_event(when, priority)
-        ev.callbacks.append(lambda _e: handle._event_fire(_e))
+            else:
+                heappush(self._heap, (when, priority, seq, handle))
+        else:
+            tail.append((when, priority, seq, handle))
         return handle
 
     def schedule_tracked(self, when: int, fn: Callable[[], None],
@@ -371,16 +330,14 @@ class Simulator:
         entry's position in the pop order, so a snapshot layer that
         records the triple can re-insert the pending call *verbatim* in a
         restored world (:meth:`restore_call`) — tie-breaking then matches
-        a from-origin replay bit for bit.  Sequence numbers are consumed
-        identically on the fast and legacy paths, so the returned seq is
-        the entry's seq in both modes.
+        a from-origin replay bit for bit.
         """
         handle = self.schedule_call(when, fn, priority)
         return handle, self._seq
 
     def schedule_fn(self, when: int, fn: Callable[[], None],
                     priority: int = NORMAL) -> None:
-        """Fire-and-forget fast path: pushes the bare callable itself.
+        """Fire-and-forget scheduling: pushes the bare callable itself.
 
         Zero per-call allocation beyond the stored entry; there is no
         handle, so the call cannot be cancelled.  Reuse one prebound
@@ -389,31 +346,17 @@ class Simulator:
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self.now}")
-        if self.fast_path:
-            self._seq = seq = self._seq + 1
-            tail = self._tail
-            if tail:
-                last = tail[-1]
-                lw = last[0]
-                if when > lw or (when == lw and priority >= last[1]):
-                    tail.append((when, priority, seq, fn))
-                else:
-                    heappush(self._heap, (when, priority, seq, fn))
-            else:
+        self._seq = seq = self._seq + 1
+        tail = self._tail
+        if tail:
+            last = tail[-1]
+            lw = last[0]
+            if when > lw or (when == lw and priority >= last[1]):
                 tail.append((when, priority, seq, fn))
-            return
-        ev = self._legacy_event(when, priority)
-        ev.callbacks.append(lambda _e: fn())
-
-    def _legacy_event(self, when: int, priority: int) -> Event:
-        """One pre-fast-path scheduled Event (Timeout at NORMAL priority)."""
-        if priority == NORMAL:
-            return Timeout(self, when - self.now)
-        ev = Event(self)
-        ev._ok = True
-        ev._value = None
-        self._enqueue(ev, when - self.now, priority)
-        return ev
+            else:
+                heappush(self._heap, (when, priority, seq, fn))
+        else:
+            tail.append((when, priority, seq, fn))
 
     def _compact(self) -> None:
         """Drop cancelled tombstones from both lanes (O(n), amortized O(1)).
@@ -596,7 +539,7 @@ class Simulator:
                 item()
                 self.profiler.end(t0, item)
                 return
-            item()                          # Event or bare fast-path callable
+            item()                          # Event or bare schedule_fn callable
             return
 
     def enable_race_detection(self):

@@ -72,7 +72,7 @@ class CompiledScenario:
     """A scenario ready to run; construction happens inside :meth:`run`.
 
     Compilation is split from execution so one compiled scenario can run
-    many times (sweep workers, FAST/LEGACY bench pairs) with a fresh
+    many times (sweep workers, bench repetitions) with a fresh
     :class:`~repro.sim.core.Simulator` each time.
     """
 

@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from repro.bench.scenarios import make_sim, run_ckpt10, run_fig4
+from repro.bench.scenarios import run_ckpt10, run_fig4
+from repro.sim import Simulator
 from repro.testbed.compile import compile_scenario, run_scenario_file
 from repro.testbed.dsl import load_scenario
 
@@ -30,19 +31,11 @@ def scenario_path(name: str) -> str:
 
 
 def test_fig4_matches_hand_wired_and_golden():
-    result = run_scenario_file(scenario_path("fig4.toml"), sim=make_sim())
-    hand = run_fig4(make_sim())
+    result = run_scenario_file(scenario_path("fig4.toml"), sim=Simulator())
+    hand = run_fig4(Simulator())
     assert result.digest == hand
     assert result.digest == GOLDEN["fig4_sleep"]
     assert result.recipe == "local-parts"
-
-
-def test_fig4_legacy_mode_equivalent():
-    result = run_scenario_file(
-        scenario_path("fig4.toml"),
-        sim=make_sim(fast_path=False, packet_trains=False,
-                     batch_pipes=False))
-    assert result.digest == GOLDEN["fig4_sleep"]
 
 
 def test_fig4_race_detector_clean():
@@ -53,8 +46,8 @@ def test_fig4_race_detector_clean():
 
 def test_ckpt10_matches_hand_wired_and_golden():
     result = run_scenario_file(
-        scenario_path("ckpt10_coordinated.toml"), sim=make_sim())
-    hand = run_ckpt10(make_sim())
+        scenario_path("ckpt10_coordinated.toml"), sim=Simulator())
+    hand = run_ckpt10(Simulator())
     assert result.digest == hand
     assert result.digest == GOLDEN["ckpt10_coordinated"]
     assert result.recipe == "coordinated-parts"
@@ -103,7 +96,7 @@ def test_bench_scenario_file_cli(capsys):
 
     assert run_scenario_bench(scenario_path("fig4.toml")) == 0
     out = capsys.readouterr().out
-    assert "fast/legacy equivalence: OK" in out
+    assert "run-to-run determinism: OK" in out
 
 
 def test_bench_rejects_broken_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import FirewallViolation
 from repro.guest import Activity, GuestKernel, INSIDE_FIREWALL, ThreadKind
 from repro.guest.activities import GateTable
+from repro.guest.firewall import TemporalFirewall
 from repro.hw import Machine
 from repro.sim import Simulator
 from repro.units import MS, SECOND, US
@@ -196,3 +197,32 @@ def test_thread_bookkeeping():
     sim.run(until=10 * MS)
     assert not t.alive
     assert kernel.threads == [t]
+
+
+def test_timer_expiring_between_gate_close_and_wheel_freeze_is_held():
+    # Regression: the raise sequence closes the dispatch gates one step
+    # before it freezes the timer wheel.  A timer expiring in that window
+    # used to raise FirewallViolation; it must be held and fire right
+    # after the lower sequence reopens the gates.
+    sim = Simulator()
+    kernel = make_kernel(sim)
+    step = 10 * US
+    kernel.firewall = TemporalFirewall(kernel, min_step_cost_ns=step,
+                                       max_step_cost_ns=step)
+    kernel.timers.max_slack_ns = 0      # the timer fires exactly on time
+    woke = []
+
+    def arm():
+        # gates closed at 3 steps; the wheel freezes at 4 steps
+        assert kernel.gates.is_closed(Activity.TIMER)
+        assert not kernel.timers.frozen
+        kernel.sleep(step // 2).add_callback(lambda _e: woke.append(sim.now))
+
+    sim.call_at(3 * step + 1, arm)
+    drive_firewall(sim, kernel, up_for_ns=1 * MS)
+    sim.run(until=500 * US)
+    assert kernel.frozen and woke == []
+    sim.run(until=1 * SECOND)
+    assert kernel.timers_held == 1
+    # the lower sequence reopens the gates one step after thawing time
+    assert woke == [kernel.firewall.last_clock_thawed_at_ns + step]

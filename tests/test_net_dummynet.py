@@ -1,5 +1,6 @@
 """Unit tests for Dummynet pipes and delay nodes (shaping + live checkpoint)."""
 
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.errors import CheckpointError, NetworkError
 from repro.net import (DelayNode, Host, LinkShape, Packet, Pipe, PipeConfig,
                        install_shaped_link)
+from repro.net.dummynet import encode_packet
 from repro.sim import Simulator
 from repro.units import MBPS, MS, SECOND, US, transmission_time_ns
 
@@ -211,3 +213,121 @@ def test_shaped_link_roundtrip_traffic():
     hb.send(Packet("B", "A", "test", 100))
     sim.run()
     assert len(seen["A"]) == 1 and len(seen["B"]) == 1
+
+
+# -- JSON snapshot round trips (serialize_state / restore_serialized) --------
+
+ROUNDTRIP_CONFIG = PipeConfig(bandwidth_bps=10 * MBPS, delay_ns=30 * MS,
+                              loss_probability=0.1, queue_slots=50)
+
+
+def roundtrip_pipe(sim, deliveries):
+    """A lossy shaped pipe logging every delivery as (time, packet)."""
+    return Pipe(sim, ROUNDTRIP_CONFIG,
+                lambda p: deliveries.append((sim.now, encode_packet(p))),
+                random.Random(7), name="rt")
+
+
+def submit_burst(pipe, first, count):
+    for n in range(first, first + count):
+        pipe.submit(pkt(n))
+
+
+def test_running_pipe_json_roundtrip_matches_original_deliveries():
+    sim = Simulator()
+    original = []
+    pipe = roundtrip_pipe(sim, original)
+    submit_burst(pipe, 0, 24)
+    sim.run(until=20 * MS)
+    state = json.loads(json.dumps(pipe.serialize_state()))
+    frontier = sim.frontier_state()
+    assert not state["frozen"]
+    assert state["calls"]["advance"] is not None     # armed (when, seq)
+    snapshot_at = sim.now
+
+    # Both worlds get the same post-snapshot input, drawing on the
+    # restored loss RNG.
+    sim.call_in(5 * MS, lambda: submit_burst(pipe, 100, 8))
+    sim.run()
+
+    sim2 = Simulator()
+    restored = []
+    pipe2 = roundtrip_pipe(sim2, restored)
+    sim2.restore_frontier(**frontier)
+    pipe2.restore_serialized(state)
+    sim2.call_in(5 * MS, lambda: submit_burst(pipe2, 100, 8))
+    sim2.run()
+
+    after = [d for d in original if d[0] > snapshot_at]
+    assert len(after) > 20
+    assert restored == after
+    assert pipe2.delivered == pipe.delivered
+    assert pipe2.dropped_loss == pipe.dropped_loss
+
+
+def test_frozen_pipe_json_roundtrip_thaws_like_the_original():
+    sim = Simulator()
+    original = []
+    pipe = roundtrip_pipe(sim, original)
+    submit_burst(pipe, 0, 24)
+    sim.run(until=20 * MS)
+    pipe.freeze()
+    state = json.loads(json.dumps(pipe.serialize_state()))
+    frontier = sim.frontier_state()
+    assert state["frozen"] and state["calls"] == {"advance": None}
+    frozen_at = sim.now
+    sim.run(until=1 * SECOND)                        # checkpoint downtime
+    pipe.thaw()
+    sim.run()
+
+    sim2 = Simulator()
+    restored = []
+    pipe2 = roundtrip_pipe(sim2, restored)
+    sim2.restore_frontier(**frontier)
+    pipe2.restore_serialized(state)
+    assert pipe2.frozen
+    sim2.run(until=1 * SECOND)
+    pipe2.thaw()
+    sim2.run()
+
+    after = [d for d in original if d[0] > frozen_at]
+    assert len(after) > 15
+    assert restored == after
+
+
+def test_pipe_restore_rejects_foreign_or_busy_targets():
+    sim = Simulator()
+    pipe = roundtrip_pipe(sim, [])
+    submit_burst(pipe, 0, 3)
+    state = pipe.serialize_state()
+    busy = roundtrip_pipe(Simulator(), [])
+    busy.submit(pkt())
+    with pytest.raises(CheckpointError):
+        busy.restore_serialized(state)              # not an idle pipe
+    with pytest.raises(CheckpointError):
+        roundtrip_pipe(Simulator(), []).restore_serialized(
+            dict(state, batch=True))                # unknown payload key
+
+
+def test_delay_node_json_roundtrip_reproduces_payload():
+    sim = Simulator()
+    ha, hb = Host(sim, "A"), Host(sim, "B")
+    shape = LinkShape(bandwidth_bps=100 * MBPS, delay_ns=25 * MS)
+    node = install_shaped_link(sim, ha, hb, shape, name="dn",
+                               rng=random.Random(2))
+    hb.register_protocol("test", lambda p: None)
+    for n in range(20):
+        ha.send(Packet("A", "B", "test", 1434, headers={"n": n}))
+    sim.run(until=10 * MS)
+    node.freeze()
+    payload = json.loads(json.dumps(node.serialize_state()))
+    assert payload["forward"]["delay_line"]          # packets in flight
+
+    sim2 = Simulator()
+    node2 = install_shaped_link(sim2, Host(sim2, "A"), Host(sim2, "B"),
+                                shape, name="dn", rng=random.Random(2))
+    sim2.restore_frontier(**sim.frontier_state())
+    node2.restore_serialized(payload)
+    assert node2.frozen
+    assert node2.packets_in_flight == node.packets_in_flight
+    assert json.loads(json.dumps(node2.serialize_state())) == payload

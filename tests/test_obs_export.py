@@ -81,9 +81,10 @@ def test_write_chrome_trace_is_valid_json(tmp_path):
 
 def test_traced_ckpt10_covers_all_stages_on_all_nodes_and_keeps_golden():
     from repro.bench.runner import _golden_pipeline_digests
-    from repro.bench.scenarios import make_sim, run_ckpt10
+    from repro.bench.scenarios import run_ckpt10
+    from repro.sim import Simulator
 
-    sim = make_sim()
+    sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
     digest = run_ckpt10(sim, tracer=tracer)
 
@@ -111,10 +112,11 @@ def test_traced_ckpt10_covers_all_stages_on_all_nodes_and_keeps_golden():
 
 
 def test_tracing_on_off_digest_equivalence_fig4():
-    from repro.bench.scenarios import make_sim, run_fig4
+    from repro.bench.scenarios import run_fig4
+    from repro.sim import Simulator
 
-    plain = run_fig4(make_sim())
-    sim = make_sim()
+    plain = run_fig4(Simulator())
+    sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now)
     traced = run_fig4(sim, tracer=tracer)
     assert plain == traced

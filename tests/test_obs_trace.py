@@ -244,9 +244,3 @@ def test_simulator_profiler_hook_measures_dispatches():
     sim.run()
     assert fired == [1, 2]
     assert prof.dispatches == 2
-    # Legacy mode dispatches through Events; still measured.
-    legacy = Simulator(fast_path=False, packet_trains=False)
-    lprof = legacy.enable_profiling()
-    legacy.call_in(10, lambda: fired.append(3))
-    legacy.run()
-    assert lprof.dispatches >= 1

@@ -5,8 +5,8 @@ implementation (``benchmarks/results/PIPELINE_digests.json``).  Each
 scenario drives a checkpoint consumer that now runs on
 :mod:`repro.checkpoint.pipeline`; a digest change means the port perturbed
 event order, rng draws, or checkpoint semantics.  ``repro bench`` enforces
-the same gate (see ``_bench_pipeline_figure``), so CI fails on drift even
-when run in quick mode.
+the same gate (see ``_bench_figure``), so CI fails on drift even when run
+in quick mode.
 """
 
 import json
@@ -38,10 +38,3 @@ def test_digest_bit_identical_to_pre_pipeline_golden(name):
         f"{name}: checkpoint-pipeline port changed observable behaviour "
         f"(got {digest}, golden {GOLDEN[name]})")
 
-
-def test_fast_and_legacy_paths_agree_on_checkpoint_scenarios():
-    # The same scenario in both scheduling modes; ckpt10 covers the full
-    # distributed path (coordinator, agents, delay nodes, storage).
-    fast = run_ckpt10(Simulator(fast_path=True, packet_trains=True))
-    legacy = run_ckpt10(Simulator(fast_path=False, packet_trains=False))
-    assert fast == legacy == GOLDEN["ckpt10_coordinated"]

@@ -1,11 +1,12 @@
-"""The scheduling fast path: handles, cancellation, compaction, legacy mode.
+"""Scheduled calls: handles, cancellation, compaction.
 
 Covers the zero-allocation ``schedule_call``/``schedule_fn`` API, lazy
-tombstone deletion (skip at pop, compact past the threshold), the
-equivalence contract between the fast and legacy scheduling paths, and the
-regression where tombstones at the heap head dragged ``run(until=...)``
-past its horizon.
+tombstone deletion (skip at pop, compact past the threshold), sequence
+number consumption, and the regression where tombstones at the heap head
+dragged ``run(until=...)`` past its horizon.
 """
+
+import inspect
 
 import pytest
 
@@ -121,9 +122,8 @@ def test_timer_service_cancellation_reclaims_heap_entry():
     assert sim.peek() is None
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_modes_agree_on_schedule_cancel_semantics(fast_path):
-    sim = Simulator(fast_path=fast_path)
+def test_cancelled_call_is_skipped_between_same_instant_calls():
+    sim = Simulator()
     fired = []
     sim.call_at(100, lambda: fired.append("a"))
     b = sim.call_at(100, lambda: fired.append("b"))
@@ -134,28 +134,40 @@ def test_modes_agree_on_schedule_cancel_semantics(fast_path):
     assert sim.now == 100
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_modes_consume_identical_sequence_numbers(fast_path):
-    # Equal seq consumption is what keeps same-instant tie-breaking
-    # bit-identical between the two scheduling paths.
-    sim = Simulator(fast_path=fast_path)
+def test_each_scheduling_call_consumes_one_sequence_number():
+    # One seq per call, whatever the item kind: snapshots record the
+    # (when, priority, seq) triple and restore it verbatim.
+    sim = Simulator()
     sim.schedule_call(10, lambda: None)
     sim.schedule_fn(20, lambda: None)
     sim.call_in(30, lambda: None)
     assert sim._seq == 3
 
 
-def test_legacy_mode_keeps_cancelled_entries_until_deadline():
-    sim = Simulator(fast_path=False)
-    handle = sim.call_in(1 * SECOND, lambda: None)
-    handle.cancel()
-    assert len(sim._heap) + len(sim._tail) == 1   # fire-time tombstone
-    sim.run()
-    assert sim.now == 1 * SECOND    # the dead Event still pops at deadline
+def test_simple_scenario_event_trace():
+    # A deterministic microworld: the callbacks fire at their instants in
+    # scheduling order, and a cancelled one never fires.
+    sim = Simulator()
+    order = []
+    sim.call_at(1 * SECOND, lambda: order.append(("a", sim.now)))
+    doomed = sim.call_at(2 * SECOND, lambda: order.append(("x", sim.now)))
+    sim.call_at(2 * SECOND, lambda: order.append(("b", sim.now)))
+    sim.schedule_fn(2 * SECOND, lambda: order.append(("c", sim.now)))
+    doomed.cancel()
+    sim.run(until=3 * SECOND)
+    assert order == [("a", 1 * SECOND), ("b", 2 * SECOND),
+                     ("c", 2 * SECOND)]
+
+
+def test_simulator_takes_no_scheduling_mode():
+    # One scheduler path: the constructor accepts no mode arguments.
+    assert not inspect.signature(Simulator).parameters
+    with pytest.raises(TypeError):
+        Simulator(batching=True)
 
 
 def test_fast_mode_drains_without_running_cancelled_work():
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
     handle = sim.call_in(1 * SECOND, lambda: None)
     handle.cancel()
     sim.run()
