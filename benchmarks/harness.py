@@ -1,23 +1,23 @@
 """Shared rig builders for the per-figure benchmark harness.
 
-Every benchmark builds its experiment through the public testbed API,
-runs the paper's scenario, prints a paper-vs-measured report, writes the
-same report under ``benchmarks/results/``, and asserts the *shape* of the
-result (who wins, by roughly what factor) rather than absolute numbers.
+Every benchmark runs the paper's scenario — the figure benchmarks load
+the shipped scenario files with the paper-length parameters as
+overrides — prints a paper-vs-measured report, writes the same report
+under ``benchmarks/results/``, and asserts the *shape* of the result
+(who wins, by roughly what factor) rather than absolute numbers.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro.analysis import ExperimentReport
 from repro.sim import Simulator
 from repro.testbed import (Emulab, ExperimentSpec, LinkSpec, NodeSpec,
                            TestbedConfig)
-from repro.testbed.experiment import LanSpec
-from repro.units import GBPS, MB, MBPS, MS, SECOND
+from repro.units import GBPS, MB
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -72,65 +72,3 @@ def two_node_rig(bandwidth_bps: int = GBPS, delay_ns: int = 0,
     sim.run(until=exp.swap_in())
     return sim, testbed, exp
 
-
-def lan_rig(num_nodes: int = 4, bandwidth_bps: int = 100 * MBPS,
-            seed: int = 0, memory: int = 256 * MB
-            ) -> Tuple[Simulator, Emulab, object]:
-    """N guests on a shaped LAN (the Fig. 7 topology)."""
-    sim = Simulator()
-    testbed = Emulab(sim, TestbedConfig(num_machines=2 * num_nodes + 1,
-                                        seed=seed))
-    names = [f"node{i}" for i in range(num_nodes)]
-    exp = testbed.define_experiment(ExperimentSpec(
-        "bench",
-        nodes=[NodeSpec(n, memory_bytes=memory) for n in names],
-        lans=[LanSpec("lan0", tuple(names), bandwidth_bps=bandwidth_bps)]))
-    sim.run(until=exp.swap_in())
-    return sim, testbed, exp
-
-
-def periodic_local_checkpoints(sim: Simulator, checkpointer,
-                               period_ns: int = 5 * SECOND,
-                               count: int = 10,
-                               start_at_ns: Optional[int] = None) -> list:
-    """Run ``count`` local checkpoints, one every ``period_ns``.
-
-    Returns the list that accumulates checkpoint event times (true ns at
-    clock freeze) as the run progresses.
-    """
-    marks: list = []
-
-    def loop():
-        if start_at_ns is not None and start_at_ns > sim.now:
-            yield sim.timeout(start_at_ns - sim.now)
-        for _ in range(count):
-            next_at = sim.now + period_ns
-            result = yield from checkpointer.run()
-            marks.append(result)
-            if next_at > sim.now:
-                yield sim.timeout(next_at - sim.now)
-
-    sim.process(loop())
-    return marks
-
-
-def periodic_coordinated_checkpoints(sim: Simulator, experiment,
-                                     period_ns: int = 5 * SECOND,
-                                     count: int = 10,
-                                     start_at_ns: Optional[int] = None) -> list:
-    """Run ``count`` coordinated checkpoints at ``period_ns`` intervals."""
-    results: list = []
-
-    def loop():
-        if start_at_ns is not None and start_at_ns > sim.now:
-            yield sim.timeout(start_at_ns - sim.now)
-        for _ in range(count):
-            next_at = sim.now + period_ns
-            proc = experiment.coordinator.checkpoint_scheduled()
-            result = yield proc
-            results.append(result)
-            if next_at > sim.now:
-                yield sim.timeout(next_at - sim.now)
-
-    sim.process(loop())
-    return results

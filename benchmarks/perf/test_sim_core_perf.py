@@ -3,13 +3,15 @@
 Run with ``pytest benchmarks/perf/ --benchmark-only -s`` for interactive
 pytest-benchmark tables, or ``python -m repro bench`` for the
 machine-readable ``BENCH_sim_core.json`` artifact (which also gates every
-scenario on its stored golden digest).  Scenarios live in
-:mod:`repro.bench`.
+scenario on its stored golden digest).  The kernel scenarios live in
+:mod:`repro.bench`; the figure rigs are the named scenario files of
+:data:`repro.testbed.compile.NAMED_SCENARIOS`.
 """
 
 from repro.bench.scenarios import (run_calibrator, run_event_churn,
-                                   run_fig6, run_fig7, run_timer_storm)
+                                   run_timer_storm)
 from repro.sim import Simulator
+from repro.testbed.compile import compile_scenario, load_named
 
 
 def test_event_churn(benchmark):
@@ -34,16 +36,22 @@ def test_timer_cancel_rearm_storm(benchmark):
     assert fired == 100          # one survivor per round
 
 
+def _named_digest(name: str, overrides: dict):
+    compiled = compile_scenario(load_named(name, overrides))
+    return lambda: compiled.run().digest
+
+
 def test_fig6_iperf_wall_clock(benchmark):
     digest = benchmark.pedantic(
-        lambda: run_fig6(Simulator(), run_seconds=6, num_ckpts=1),
+        _named_digest("fig6_iperf", {"run.seconds": 6,
+                                     "checkpoints.count": 1}),
         rounds=1, iterations=1)
     assert digest            # non-empty hex digest; the golden is gated in
-    #                          tests/test_golden_digests.py
+    #                          tests/test_pipeline_equivalence.py
 
 
 def test_fig7_bittorrent_wall_clock(benchmark):
     digest = benchmark.pedantic(
-        lambda: run_fig7(Simulator(), run_seconds=8, num_ckpts=1),
+        _named_digest("fig7_bittorrent_8s_1ckpt", {}),
         rounds=1, iterations=1)
     assert digest

@@ -8,30 +8,26 @@ the measurement error to ~80 µs.  Checkpoints every 5 seconds.
 import pytest
 
 from repro.analysis import ExperimentReport, fmt_us, percentile
-from repro.units import MS, SECOND, US
-from repro.workloads import SleeperBenchmark
+from repro.units import MS, US
 
-from harness import emit_report, periodic_local_checkpoints, single_node_rig
+from repro.testbed.compile import compile_scenario, load_named
+
+from harness import emit_report
 
 ITERATIONS = 6000            # as in the paper's Figure 4 x-axis
 TARGET_NS = 20 * MS
 
 
-def run_fig4():
-    sim, testbed, exp = single_node_rig(seed=4)
-    kernel = exp.kernel("node0")
-    bench = SleeperBenchmark(kernel, iterations=ITERATIONS)
-    bench.start()
-    node = exp.node("node0")
-    results = periodic_local_checkpoints(sim, node.checkpointer,
-                                         period_ns=5 * SECOND, count=23,
-                                         start_at_ns=sim.now + 2 * SECOND)
-    sim.run(until=bench.join())
-    return bench.result, results, kernel
+def run_figure():
+    run = compile_scenario(load_named("fig4_sleep", {
+        "nodes[0].memory_mb": 256, "workloads[0].iterations": ITERATIONS,
+        "checkpoints.period_ms": 5000, "checkpoints.count": 23})).run()
+    (_kind, bench), = run.workloads
+    return bench.result, run.checkpoints, run.experiment.kernel("node0")
 
 
 def test_fig4_sleep_transparency(benchmark):
-    result, checkpoints, kernel = benchmark.pedantic(run_fig4, rounds=1,
+    result, checkpoints, kernel = benchmark.pedantic(run_figure, rounds=1,
                                                      iterations=1)
     assert len(result.iteration_ns) == ITERATIONS
     assert len(checkpoints) == 23

@@ -9,35 +9,33 @@ residual dom0 checkpoint activity, not leaked downtime.
 import pytest
 
 from repro.analysis import ExperimentReport, fmt_ms, fraction_within
-from repro.units import MS, SECOND
-from repro.workloads import CpuBurnBenchmark
+from repro.units import MS
 
-from harness import emit_report, periodic_local_checkpoints, single_node_rig
+from repro.testbed.compile import compile_scenario, load_named
+
+from harness import emit_report
 
 WORK_NS = 236_600_000
 ITERATIONS = 600
 
 
-def run_fig5():
+def run_figure():
     # Baseline: no checkpoints.
-    sim_b, _tb, exp_b = single_node_rig(seed=51)
-    base = CpuBurnBenchmark(exp_b.kernel("node0"), WORK_NS, iterations=60)
-    base.start()
-    sim_b.run(until=base.join())
-
+    base = compile_scenario(load_named("fig5_cpuburn", {
+        "scenario.seed": 51, "nodes[0].memory_mb": 256,
+        "workloads[0].iterations": 60, "checkpoints.mode": "none"})).run()
     # Checkpointed run.
-    sim, _testbed, exp = single_node_rig(seed=5)
-    bench = CpuBurnBenchmark(exp.kernel("node0"), WORK_NS, ITERATIONS)
-    bench.start()
-    checkpoints = periodic_local_checkpoints(
-        sim, exp.node("node0").checkpointer, period_ns=5 * SECOND,
-        count=27, start_at_ns=sim.now + 2 * SECOND)
-    sim.run(until=bench.join())
-    return base.result, bench.result, checkpoints
+    ckpted = compile_scenario(load_named("fig5_cpuburn", {
+        "nodes[0].memory_mb": 256, "workloads[0].iterations": ITERATIONS,
+        "checkpoints.period_ms": 5000, "checkpoints.count": 27,
+        "checkpoints.start_ms": 2000})).run()
+    (_kind, base_bench), = base.workloads
+    (_kind, bench), = ckpted.workloads
+    return base_bench.result, bench.result, ckpted.checkpoints
 
 
 def test_fig5_cpu_transparency(benchmark):
-    base, ckpted, checkpoints = benchmark.pedantic(run_fig5, rounds=1,
+    base, ckpted, checkpoints = benchmark.pedantic(run_figure, rounds=1,
                                                    iterations=1)
     assert len(ckpted.iteration_ns) == ITERATIONS
     assert len(checkpoints) == 27

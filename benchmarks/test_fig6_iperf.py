@@ -18,31 +18,25 @@ from the node that suspends first, as the paper's trace implies.
 import pytest
 
 from repro.analysis import ExperimentReport, fmt_us
-from repro.units import GBPS, MS, SECOND, US
-from repro.workloads import IperfSession
+from repro.units import MS, SECOND, US
 
-from harness import emit_report, periodic_coordinated_checkpoints, \
-    two_node_rig
+from repro.testbed.compile import compile_scenario, load_named
+
+from harness import emit_report
 
 RUN_SECONDS = 25
 NUM_CKPTS = 4
 PAPER_GAPS_US = ("5801", "816", "399", "330")
 
 
-def run_fig6():
-    sim, testbed, exp = two_node_rig(bandwidth_bps=GBPS, seed=6)
+def run_figure():
     # With this seed node1's clock leads: it suspends first, so it sends.
-    sender, receiver = exp.kernel("node1"), exp.kernel("node0")
-    session = IperfSession(sender, receiver)
-    session.start()
-    start = sim.now
-    results = periodic_coordinated_checkpoints(
-        sim, exp, period_ns=5 * SECOND, count=NUM_CKPTS,
-        start_at_ns=start + 5 * SECOND)
-    sim.run(until=start + RUN_SECONDS * SECOND)
-    session.stop()
-    sim.run(until=sim.now + 200 * MS)
-    return session, results, receiver
+    run = compile_scenario(load_named("fig6_iperf", {
+        "nodes[0].memory_mb": 256, "nodes[1].memory_mb": 256,
+        "checkpoints.period_ms": 5000, "checkpoints.count": NUM_CKPTS,
+        "checkpoints.start_ms": 5000, "run.seconds": RUN_SECONDS})).run()
+    (_kind, session), = run.workloads
+    return session, run.checkpoints, run.experiment.kernel("node0")
 
 
 def gap_at_checkpoint(trace, receiver, checkpoints, index) -> int:
@@ -61,7 +55,7 @@ def gap_at_checkpoint(trace, receiver, checkpoints, index) -> int:
 
 
 def test_fig6_iperf_transparency(benchmark):
-    session, checkpoints, receiver = benchmark.pedantic(run_fig6, rounds=1,
+    session, checkpoints, receiver = benchmark.pedantic(run_figure, rounds=1,
                                                         iterations=1)
     assert len(checkpoints) == NUM_CKPTS
     trace = session.trace

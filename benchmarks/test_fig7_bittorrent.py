@@ -17,10 +17,11 @@ and does not move the throughput center line.
 import pytest
 
 from repro.analysis import ExperimentReport, mean
-from repro.units import GB, MBPS, MS, SECOND
-from repro.workloads import BitTorrentSwarm
+from repro.units import SECOND
 
-from harness import emit_report, lan_rig, periodic_coordinated_checkpoints
+from repro.testbed.compile import compile_scenario, load_named
+
+from harness import emit_report
 
 WARMUP_S = 20
 CKPT_WINDOW_S = 30
@@ -29,21 +30,15 @@ NUM_CKPTS = 6
 TOTAL_S = WARMUP_S + CKPT_WINDOW_S + TAIL_S
 
 
-def run_swarm(seed, with_checkpoints):
-    sim, testbed, exp = lan_rig(num_nodes=4, bandwidth_bps=100 * MBPS,
-                                seed=seed)
-    kernels = [exp.kernel(f"node{i}") for i in range(4)]
-    swarm = BitTorrentSwarm(kernels, seeder_index=0, file_bytes=3 * GB,
-                            rng=testbed.streams.stream("bt"))
-    swarm.start()
-    start = sim.now
-    results = []
-    if with_checkpoints:
-        results = periodic_coordinated_checkpoints(
-            sim, exp, period_ns=5 * SECOND, count=NUM_CKPTS,
-            start_at_ns=start + WARMUP_S * SECOND)
-    sim.run(until=start + TOTAL_S * SECOND)
-    return swarm, results, start
+def run_swarm(with_checkpoints):
+    overrides = {"nodes[0].memory_mb": 256, "run.seconds": TOTAL_S,
+                 "checkpoints.count": NUM_CKPTS,
+                 "checkpoints.start_ms": WARMUP_S * 1000}
+    if not with_checkpoints:
+        overrides["checkpoints.mode"] = "none"
+    run = compile_scenario(load_named("fig7_bittorrent", overrides)).run()
+    (_kind, swarm), = run.workloads
+    return swarm, run.checkpoints, run.swap_in_ns
 
 
 def total_retransmits(swarm):
@@ -52,15 +47,15 @@ def total_retransmits(swarm):
                for c in peer.kernel.tcp.connections.values())
 
 
-def run_fig7():
-    control_swarm, _none, _s0 = run_swarm(7, with_checkpoints=False)
-    swarm, checkpoints, start = run_swarm(7, with_checkpoints=True)
+def run_figure():
+    control_swarm, _none, _s0 = run_swarm(with_checkpoints=False)
+    swarm, checkpoints, start = run_swarm(with_checkpoints=True)
     return control_swarm, swarm, checkpoints, start
 
 
 def test_fig7_bittorrent(benchmark):
     control, swarm, checkpoints, start = benchmark.pedantic(
-        run_fig7, rounds=1, iterations=1)
+        run_figure, rounds=1, iterations=1)
     assert len(checkpoints) == NUM_CKPTS
     series = swarm.seeder_throughput_series(bucket_ns=1 * SECOND)
     ckpt_start_v = (WARMUP_S - 2) * SECOND

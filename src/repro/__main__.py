@@ -29,17 +29,17 @@ Subcommands:
                   run every expansion in worker processes; aggregates
                   digests/failures into a JSON + human report and
                   fails on any digest disagreement between repeats
-* ``snapshot``  — true snapshot/restore over the serializable worlds:
-                  take delta-chained snapshots of a running world,
-                  inspect/diff their manifests, and restore one into a
-                  cold world with an optional replay cross-check
-                  (docs/snapshots.md).  Durable actions: ``run`` a world
-                  against a crash-safe on-disk store (``--durable DIR``,
-                  ``--resume`` re-attaches after process death, exits 3
-                  on an injected ``--kill-at`` crash), ``fsck`` a store
-                  (``--repair`` applies the fixes), and ``crashmatrix``
-                  — kill a run at every durability barrier and prove
-                  recovery + resume land on the uninterrupted digest
+* ``snapshot``  — true snapshot/restore over the serializable worlds,
+                  on a crash-safe on-disk store (``--durable DIR``):
+                  ``run`` a world and commit delta-chained snapshots
+                  (``--resume`` re-attaches after process death, exits
+                  3 on an injected ``--kill-at`` crash),
+                  ``inspect``/``diff`` their manifests, ``restore`` one
+                  into a cold world with an optional replay cross-check
+                  (docs/snapshots.md), ``fsck`` a store (``--repair``
+                  applies the fixes), and ``crashmatrix`` — kill a run
+                  at every durability barrier and prove recovery +
+                  resume land on the uninterrupted digest
                   (docs/durability.md)
 """
 
@@ -214,39 +214,18 @@ def cmd_sweep(args) -> int:
     return 0 if report["ok"] else 1
 
 
-#: scenarios ``repro trace`` can run with a tracer attached.  fig8 is
-#: absent by design: the COW-storage rig runs per-configuration private
-#: simulators with no testbed, so there is no tracer to thread through.
-TRACE_SCENARIOS = ("ckpt10_coordinated", "ckpt10_faultstorm", "fig4_sleep",
-                   "fig5_cpuburn", "fig6_iperf", "fig7_bittorrent")
-
-
 def cmd_trace(args) -> int:
+    from repro.bench.runner import _golden_pipeline_digests
     from repro.obs import ListSink, Tracer, write_chrome_trace
+    from repro.sim import Simulator
+    from repro.testbed.compile import compile_scenario, load_named
 
-    if args.scenario == "ckpt10_faultstorm":
-        # The storm builds its own simulator and tracer; capture through
-        # the sink parameter instead.
-        from repro.faults.scenario import run_faultstorm
-
-        sink = ListSink()
-        report = run_faultstorm(sink=sink)
-        records = sink.records
-        digest, golden = report.digest, None
-    else:
-        from repro.bench.runner import _golden_pipeline_digests
-        from repro.bench.scenarios import (run_ckpt10, run_fig4, run_fig5,
-                                           run_fig6, run_fig7)
-        from repro.sim import Simulator
-
-        runners = {"ckpt10_coordinated": run_ckpt10, "fig4_sleep": run_fig4,
-                   "fig5_cpuburn": run_fig5, "fig6_iperf": run_fig6,
-                   "fig7_bittorrent": run_fig7}
-        sim = Simulator()
-        tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
-        digest = runners[args.scenario](sim, tracer=tracer)
-        records = tracer.records
-        golden = _golden_pipeline_digests().get(args.scenario)
+    sim = Simulator()
+    tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
+    digest = compile_scenario(load_named(args.scenario)).run(
+        sim=sim, tracer=tracer).digest
+    records = tracer.records
+    golden = _golden_pipeline_digests().get(args.scenario)
 
     count = write_chrome_trace(records, args.out)
     print(f"{args.scenario}: {len(records)} trace records -> "
@@ -261,48 +240,56 @@ def cmd_trace(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    from repro.faults.scenario import (default_storm_plan,
-                                       run_fault_free_ckpt10, run_faultstorm)
+    from repro.errors import ScenarioError
+    from repro.testbed.compile import compile_scenario, load_named
 
     if args.verify_off:
-        # A disabled injector attached to the full distributed checkpoint
-        # must not move the golden digest by a single bit.
-        import json
+        # A disabled injector (an empty [faults] table) attached to the
+        # full distributed checkpoint must not move the golden digest by
+        # a single bit.
+        from repro.bench.runner import _golden_pipeline_digests
 
-        golden_path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)))),
-            "benchmarks", "results", "PIPELINE_digests.json")
-        with open(golden_path) as fh:
-            golden = json.load(fh)["scenarios"]["ckpt10_coordinated"]
-        digest = run_fault_free_ckpt10()
+        golden = _golden_pipeline_digests()["ckpt10_coordinated"]
+        digest = compile_scenario(load_named(
+            "ckpt10_coordinated", {"faults": {}})).run().digest
         ok = digest == golden
         print(f"faults-off ckpt10 digest: {digest}")
         print(f"golden:                   {golden}")
         print("fault-free equivalence:", "OK" if ok else "FAILED")
         return 0 if ok else 1
 
-    print(f"fault storm: {args.nodes} nodes, plan seed {args.seed}, "
-          f"bus loss 10%, node3 crashes mid-save ...")
-    plan = default_storm_plan(seed=args.seed)
-    first = run_faultstorm(num_nodes=args.nodes, plan=plan, race=args.race)
-    print(f"  attempt(s): {first.attempts}   completed: {first.completed}")
-    print(f"  faults injected: {sum(first.injected.values())} "
-          f"{dict(sorted(first.injected.items()))}")
-    print(f"  bus: {first.retransmits} retransmits, "
-          f"{first.duplicates_suppressed} duplicates suppressed, "
-          f"{first.gave_up} gave up")
-    if first.excluded:
-        print(f"  degraded: excluded {list(first.excluded)}")
+    try:
+        spec = load_named("ckpt10_faultstorm", {
+            "nodes[0].count": args.nodes, "faults.seed": args.seed})
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}")
+        return 2
+    plan = spec.fault_plan
+    crashes = ", ".join(f"{c.agent} crashes mid-{c.stage}"
+                        for c in plan.crashes)
+    print(f"fault storm: {args.nodes} nodes, plan seed {plan.seed}, "
+          f"bus loss {plan.bus.loss_prob:.0%}, {crashes} ...")
+    storm = compile_scenario(spec)
+    first = storm.run(race=args.race)
+    details = first.details
+    bus = details["bus"]
+    print(f"  attempt(s): {details['supervisor_attempts']}   "
+          f"completed: {details['completed']}")
+    print(f"  faults injected: {sum(details['injected'].values())} "
+          f"{dict(sorted(details['injected'].items()))}")
+    print(f"  bus: {bus['retransmits']} retransmits, "
+          f"{bus['duplicates_suppressed']} duplicates suppressed, "
+          f"{bus['gave_up']} gave up")
+    if details["excluded"]:
+        print(f"  degraded: excluded {details['excluded']}")
     if args.race:
         print(f"  races: {first.race_report}")
-    second = run_faultstorm(num_nodes=args.nodes, plan=plan)
-    deterministic = first.trace_digest == second.trace_digest and \
-        first.experiment_digest == second.experiment_digest
+    second = storm.run()
+    deterministic = first.digest == second.digest
     print(f"  run 1 digest: {first.digest}")
     print(f"  run 2 digest: {second.digest}")
     print("determinism:", "OK" if deterministic else "FAILED")
-    ok = (first.completed and deterministic and
+    ok = (details["completed"] and deterministic and
           (not args.race or first.races == 0))
     print("fault storm:", "SURVIVED" if ok else "FAILED")
     return 0 if ok else 1
@@ -317,9 +304,6 @@ def _cmd_snapshot_durable(args) -> int:
     from repro.units import MS
 
     root = args.durable
-    if not root:
-        print(f"--durable DIR is required for `{args.action}`")
-        return 1
     fsync = not args.no_fsync
 
     if args.action == "fsck":
@@ -397,91 +381,51 @@ def _cmd_snapshot_durable(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
-    from repro.checkpoint.snapshot import SnapshotStore
+    from repro.checkpoint.durable import DurableSnapshotStore
     from repro.errors import SnapshotError
     from repro.timetravel.scenarios import WORLD_BUILDERS
-    from repro.units import MS
 
+    if not args.durable:
+        print(f"--durable DIR is required for `{args.action}`")
+        return 1
     if args.action in ("run", "fsck", "crashmatrix"):
         return _cmd_snapshot_durable(args)
+    if not os.path.isdir(args.durable):
+        print(f"no snapshot store at {args.durable}")
+        return 1
+    store = DurableSnapshotStore(args.durable, fsync=False)
+    store.fsck()                       # read-only: loads intact snapshots
+    try:
+        if args.action == "inspect":
+            return _snapshot_inspect(store, args.id)
+        if args.action == "diff":
+            import json
 
-    if args.action == "take":
+            if not (args.id and args.against):
+                print("diff needs --id and --against")
+                return 1
+            print(json.dumps(store.diff(args.id, args.against),
+                             indent=2, sort_keys=True))
+            return 0
+        # restore
+        if not args.id:
+            print("restore needs --id")
+            return 1
         builder = WORLD_BUILDERS.get(args.world)
         if builder is None:
             print(f"unknown world {args.world!r} "
                   f"(have {sorted(WORLD_BUILDERS)})")
             return 1
-        world = builder(seed=args.seed)
-        store = SnapshotStore()
-        parent = None
-        print(f"{'id':<8} {'virtual_ms':>11} {'bytes':>8} {'new':>8} "
-              f"{'dedup%':>7}")
-        for i in range(1, args.checkpoints + 1):
-            t = world.advance_to_quiescence(i * args.interval_ms * MS)
-            snap = store.take(f"cp{i}", world.snapshot_providers(),
-                              virtual_time_ns=t, parent=parent,
-                              label=f"{args.world}:{args.seed}")
-            parent = snap.snapshot_id
-            saved = snap.total_bytes - snap.new_chunk_bytes
-            print(f"{snap.snapshot_id:<8} {t / 1e6:>11.1f} "
-                  f"{snap.total_bytes:>8} {snap.new_chunk_bytes:>8} "
-                  f"{100.0 * saved / snap.total_bytes:>6.1f}%")
-        store.save(args.store)
-        print(f"wrote {args.store}")
-        return 0
-
-    try:
-        store = SnapshotStore.load(args.store)
-    except (OSError, ValueError, SnapshotError) as exc:
-        print(f"cannot load snapshot store {args.store}: {exc}")
+        world = builder(seed=args.seed, started=False)
+        manifest = store.restore(args.id, world.snapshot_providers())
+    except SnapshotError as exc:
+        print(f"snapshot error: {exc}")
         return 1
-
-    if args.action == "inspect":
-        if args.id:
-            manifest = store.manifest(args.id)
-            print(f"snapshot {manifest.snapshot_id}  "
-                  f"t={manifest.virtual_time_ns / 1e6:.1f}ms  "
-                  f"parent={manifest.parent}  label={manifest.label!r}")
-            print(f"{'provider':<24} {'schema':>6} {'bytes':>8} "
-                  f"{'chunks':>7}  digest")
-            for rec in manifest.providers:
-                print(f"{rec.name:<24} {rec.schema_version:>6} "
-                      f"{rec.nbytes:>8} {len(rec.chunks):>7}  "
-                      f"{rec.digest[:16]}")
-            return 0
-        print(f"{'id':<8} {'virtual_ms':>11} {'bytes':>8} {'new':>8} "
-              f"{'parent':<8} label")
-        for sid in store.order:
-            m = store.manifest(sid)
-            print(f"{sid:<8} {m.virtual_time_ns / 1e6:>11.1f} "
-                  f"{m.total_bytes:>8} {m.new_chunk_bytes:>8} "
-                  f"{m.parent or '-':<8} {m.label}")
-        return 0
-
-    if args.action == "diff":
-        import json
-
-        print(json.dumps(store.diff(args.id, args.against),
-                         indent=2, sort_keys=True))
-        return 0
-
-    # restore
-    manifest = store.manifest(args.id)
-    kind, _, seed_str = manifest.label.partition(":")
-    builder = WORLD_BUILDERS.get(kind)
-    if builder is None or not seed_str.isdigit():
-        print(f"snapshot {args.id!r} label {manifest.label!r} does not "
-              f"name a world; only stores written by `repro snapshot "
-              f"take` are restorable here")
-        return 1
-    seed = int(seed_str)
-    world = builder(seed=seed, started=False)
-    store.restore(args.id, world.snapshot_providers())
-    print(f"restored {args.id} into a cold {kind} world at "
+    print(f"restored {args.id} into a cold {args.world} world at "
           f"t={world.virtual_now() / 1e6:.1f}ms")
     print(f"state digest: {world.state_digest()}")
     if args.verify:
-        replayed = builder(seed=seed)
+        replayed = builder(seed=args.seed)
         replayed.advance_to(manifest.virtual_time_ns)
         ok = replayed.state_digest() == world.state_digest()
         print("replay cross-check:", "OK" if ok else "MISMATCH")
@@ -489,7 +433,32 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
+def _snapshot_inspect(store, snapshot_id) -> int:
+    if snapshot_id:
+        manifest = store.manifest(snapshot_id)
+        print(f"snapshot {manifest.snapshot_id}  "
+              f"t={manifest.virtual_time_ns / 1e6:.1f}ms  "
+              f"parent={manifest.parent}  label={manifest.label!r}")
+        print(f"{'provider':<24} {'schema':>6} {'bytes':>8} "
+              f"{'chunks':>7}  digest")
+        for rec in manifest.providers:
+            print(f"{rec.name:<24} {rec.schema_version:>6} "
+                  f"{rec.nbytes:>8} {len(rec.chunks):>7}  "
+                  f"{rec.digest[:16]}")
+        return 0
+    print(f"{'id':<8} {'virtual_ms':>11} {'bytes':>8} {'new':>8} "
+          f"{'parent':<8} label")
+    for sid in store.order:
+        m = store.manifest(sid)
+        print(f"{sid:<8} {m.virtual_time_ns / 1e6:>11.1f} "
+              f"{m.total_bytes:>8} {m.new_chunk_bytes:>8} "
+              f"{m.parent or '-':<8} {m.label}")
+    return 0
+
+
 def main(argv=None) -> int:
+    from repro.testbed.compile import NAMED_SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -567,27 +536,24 @@ def main(argv=None) -> int:
     trace = sub.add_parser("trace",
                            help="run a scenario traced; export a Chrome/"
                                 "Perfetto timeline")
-    trace.add_argument("scenario", choices=TRACE_SCENARIOS,
-                       help="which scenario to run")
+    trace.add_argument("scenario", choices=sorted(NAMED_SCENARIOS),
+                       help="which named scenario to run")
     trace.add_argument("--out", metavar="PATH", default="trace.json",
                        help="trace_event JSON output path "
                             "(default: trace.json)")
     snap = sub.add_parser("snapshot",
-                          help="take/inspect/restore/diff true snapshots "
+                          help="run/inspect/restore/diff true snapshots "
                                "of a serializable world")
     snap.add_argument("action",
-                      choices=("take", "inspect", "restore", "diff",
+                      choices=("inspect", "restore", "diff",
                                "run", "fsck", "crashmatrix"),
-                      help="what to do with the snapshot store; run/"
-                           "fsck/crashmatrix operate on a crash-safe "
-                           "on-disk store (--durable DIR)")
-    snap.add_argument("--store", metavar="PATH", default="snapshots.json",
-                      help="snapshot store file (default: snapshots.json)")
+                      help="what to do with the crash-safe on-disk "
+                           "snapshot store (--durable DIR)")
     snap.add_argument("--world", default="fig4",
-                      help="world to snapshot with `take` "
+                      help="world to `run`/`restore` "
                            "(fig4, fig8, faultstorm; default: fig4)")
     snap.add_argument("--seed", type=int, default=4,
-                      help="world seed for `take` (default: 4)")
+                      help="world seed for `run`/`restore` (default: 4)")
     snap.add_argument("--checkpoints", type=int, default=3,
                       help="snapshots to take (default: 3)")
     snap.add_argument("--interval-ms", type=int, default=1000,
@@ -601,7 +567,7 @@ def main(argv=None) -> int:
                            "compare state digests")
     snap.add_argument("--durable", metavar="DIR",
                       help="root directory of the crash-safe store "
-                           "(run/fsck/crashmatrix)")
+                           "(required)")
     snap.add_argument("--resume", action="store_true",
                       help="with `run`: re-attach to the deepest durable "
                            "snapshot a prior (killed) process committed")

@@ -69,9 +69,9 @@ def _hash_index(index: dict) -> str:
 def hash_parts(parts) -> str:
     """SHA-256 over the canonical JSON form of a digest-part list.
 
-    The scenario digests (hand-wired and DSL-compiled alike) are built
-    by collecting tuples into a list and hashing it through here, so the
-    serialization is part of the golden-digest contract.
+    The scenario digests are built by collecting tuples into a list and
+    hashing it through here, so the serialization is part of the
+    golden-digest contract.
     """
     blob = json.dumps(parts, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -90,3 +90,23 @@ def coordinated_result_parts(results) -> list:
     return [("coord", r.suspend_skew_ns, r.resume_skew_ns,
              r.core_packets_captured, r.endpoint_packets_replayed,
              r.wall_duration_ns) for r in results]
+
+
+def trace_digest(records) -> str:
+    """SHA-256 over the canonical JSON form of a trace record sequence.
+
+    Span records contribute their end time as well, so a run-to-run
+    comparison also proves every duration was reproduced exactly.  (This
+    digest is only ever compared between runs of the same code — it is
+    not a stored golden.)
+
+        >>> from repro.obs.trace import TraceRecord
+        >>> a = trace_digest([TraceRecord(1, "fault.bus.drop", {})])
+        >>> b = trace_digest([TraceRecord(2, "fault.bus.drop", {})])
+        >>> (a == trace_digest([TraceRecord(1, "fault.bus.drop", {})]), a == b)
+        (True, False)
+    """
+    parts = [(r.time, r.category, sorted(r.fields.items()),
+              getattr(r, "end_time", None))
+             for r in records]
+    return hash_parts(parts)

@@ -27,11 +27,11 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.scenarios import (run_calibrator, run_ckpt10,
-                                   run_event_churn, run_fig4, run_fig5,
-                                   run_fig6, run_fig7, run_fig8,
-                                   run_pipe_saturation, run_timer_storm)
+from repro.bench.scenarios import (run_calibrator, run_event_churn,
+                                   run_fig8, run_pipe_saturation,
+                                   run_timer_storm)
 from repro.sim import Simulator
+from repro.testbed.compile import compile_scenario, load_named
 
 
 def _repo_root() -> str:
@@ -139,25 +139,19 @@ def _bench_pipe_saturation(quick: bool) -> Dict:
             **_digest_gate(digests, None)}
 
 
-def _bench_figure(scenario: Callable, golden: Optional[str], reps: int,
-                  **kwargs) -> Dict:
-    """A digest-returning rig, timed ``reps`` times and gated on its
+def _bench_digest(fn: Callable[[], str], golden: Optional[str],
+                  reps: int) -> Dict:
+    """A digest-returning run, timed ``reps`` times and gated on its
     golden (or on run-to-run agreement when no golden is stored)."""
-    timing, digests = _timed(lambda: scenario(Simulator(), **kwargs), reps)
+    timing, digests = _timed(fn, reps)
     return {**timing, **_digest_gate(digests, golden)}
 
 
-def _figure_rig(scenario: Callable, name: str, quick: bool,
-                goldens: Dict[str, str], quick_kwargs: Dict) -> Dict:
-    """fig6/fig7: quick mode runs once at the shortened parameters whose
-    golden the tests pin; full mode runs the scenario defaults three
-    times against their own golden."""
-    if quick:
-        key = (f"{name}_{quick_kwargs['run_seconds']}s_"
-               f"{quick_kwargs['num_ckpts']}ckpt")
-        return _bench_figure(scenario, goldens.get(key), reps=1,
-                             **quick_kwargs)
-    return _bench_figure(scenario, goldens.get(name), reps=3)
+def _bench_named(name: str, goldens: Dict[str, str], reps: int) -> Dict:
+    """One named scenario file, compiled once and run ``reps`` times."""
+    compiled = compile_scenario(load_named(name))
+    return _bench_digest(lambda: compiled.run().digest, goldens.get(name),
+                         reps)
 
 
 def _bench_faultstorm(quick: bool) -> Dict:
@@ -167,19 +161,17 @@ def _bench_faultstorm(quick: bool) -> Dict:
     the two runs (trace + experiment state) were bit-identical and that
     the storm completed within its retry budget.
     """
-    from repro.faults.scenario import run_faultstorm
-
-    run_seconds = 20 if quick else 30
-    timing, reports = _timed(
-        lambda: run_faultstorm(run_seconds=run_seconds), reps=2)
-    first = reports[0]
-    gate = _digest_gate([r.digest for r in reports], None)
-    gate["digest_match"] = gate["digest_match"] and first.completed
+    compiled = compile_scenario(load_named(
+        "ckpt10_faultstorm", {"run.seconds": 20} if quick else None))
+    timing, results = _timed(compiled.run, reps=2)
+    details = results[0].details
+    gate = _digest_gate([r.digest for r in results], None)
+    gate["digest_match"] = gate["digest_match"] and details["completed"]
     return {**timing,
-            "completed": first.completed,
-            "attempts": first.attempts,
-            "retransmits": first.retransmits,
-            "faults_injected": sum(first.injected.values()),
+            "completed": details["completed"],
+            "attempts": details["supervisor_attempts"],
+            "retransmits": details["bus"]["retransmits"],
+            "faults_injected": sum(details["injected"].values()),
             **gate}
 
 
@@ -199,10 +191,11 @@ def _bench_trace_overhead(golden: Optional[str], quick: bool) -> Dict:
     from repro.obs import JsonlSink, ListSink, Tracer
 
     reps = 1 if quick else 5
+    ckpt10 = compile_scenario(load_named("ckpt10_coordinated"))
     # One untimed warm-up run so the first timed configuration does not
     # absorb one-off costs (lazy imports, code-object warm-up) that
     # would masquerade as tracing overhead.
-    run_ckpt10(Simulator())
+    ckpt10.run()
     configs = {
         "off": lambda sim: None,
         "filtered": lambda sim: Tracer(clock=lambda: sim.now,
@@ -217,7 +210,7 @@ def _bench_trace_overhead(golden: Optional[str], quick: bool) -> Dict:
 
     def traced(make_tracer) -> str:
         sim = Simulator()
-        return run_ckpt10(sim, tracer=make_tracer(sim))
+        return ckpt10.run(sim=sim, tracer=make_tracer(sim)).digest
 
     for _ in range(reps):
         for name, make_tracer in configs.items():
@@ -394,7 +387,9 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
     sim = Simulator()
     profiler = sim.enable_profiling()
     tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
-    elapsed, digest = _time_run(lambda: run_ckpt10(sim, tracer=tracer))
+    ckpt10 = compile_scenario(load_named("ckpt10_coordinated"))
+    elapsed, digest = _time_run(
+        lambda: ckpt10.run(sim=sim, tracer=tracer).digest)
     print(f"profiled ckpt10_coordinated: {elapsed:.3f}s wall, "
           f"{profiler.dispatches} callbacks dispatched", file=out)
     golden = goldens.get("ckpt10_coordinated")
@@ -485,23 +480,25 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
         "event_churn": _bench_event_churn,
         "timer_cancel_rearm_storm": lambda: _bench_timer_storm(quick),
         "pipe_saturation": lambda: _bench_pipe_saturation(quick),
-        "fig6_iperf": lambda: _figure_rig(
-            run_fig6, "fig6_iperf", quick, goldens,
-            dict(run_seconds=5, num_ckpts=1)),
-        "fig7_bittorrent": lambda: _figure_rig(
-            run_fig7, "fig7_bittorrent", quick, goldens,
-            dict(run_seconds=8, num_ckpts=1)),
+        # fig6/fig7: quick mode runs the shortened variants whose
+        # goldens the tests pin; full mode the full-length scenarios.
+        "fig6_iperf": lambda: _bench_named(
+            "fig6_iperf_5s_1ckpt" if quick else "fig6_iperf", goldens,
+            reps=1 if quick else 3),
+        "fig7_bittorrent": lambda: _bench_named(
+            "fig7_bittorrent_8s_1ckpt" if quick else "fig7_bittorrent",
+            goldens, reps=1 if quick else 3),
         # Checkpoint-pipeline gates: fixed args in both modes (the goldens
         # are parameter-dependent).  These finish in milliseconds to
         # sub-second, so they take enough repetitions for a stable median.
-        "fig4_sleep": lambda: _bench_figure(
-            run_fig4, goldens.get("fig4_sleep"), reps=7),
-        "fig5_cpuburn": lambda: _bench_figure(
-            run_fig5, goldens.get("fig5_cpuburn"), reps=15),
-        "fig8_cow_storage": lambda: _bench_figure(
-            run_fig8, goldens.get("fig8_cow_storage"), reps=3),
-        "ckpt10_coordinated": lambda: _bench_figure(
-            run_ckpt10, goldens.get("ckpt10_coordinated"), reps=5),
+        "fig4_sleep": lambda: _bench_named("fig4_sleep", goldens, reps=7),
+        "fig5_cpuburn": lambda: _bench_named("fig5_cpuburn", goldens,
+                                             reps=15),
+        "fig8_cow_storage": lambda: _bench_digest(
+            lambda: run_fig8(Simulator()), goldens.get("fig8_cow_storage"),
+            reps=3),
+        "ckpt10_coordinated": lambda: _bench_named(
+            "ckpt10_coordinated", goldens, reps=5),
         # Robustness gate: seeded storm must survive, deterministically.
         "ckpt10_faultstorm": lambda: _bench_faultstorm(quick),
         # Observability gate: tracing must be digest-neutral, and the

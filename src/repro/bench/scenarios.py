@@ -1,26 +1,22 @@
 """Benchmark scenarios, each built on a caller-supplied simulator.
 
 Every scenario builds its world through the public API on the
-:class:`~repro.sim.core.Simulator` it is given.  The figure scenarios
-return an :func:`~repro.analysis.digest.experiment_digest`, which the
-golden-digest tests and ``repro bench`` compare against the stored
-goldens in ``benchmarks/results/PIPELINE_digests.json``.
+:class:`~repro.sim.core.Simulator` it is given.  ``run_fig8`` returns a
+digest that the golden-digest test and ``repro bench`` compare against
+the stored golden in ``benchmarks/results/PIPELINE_digests.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from heapq import heappop, heappush
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.analysis.digest import (branch_digest, checkpoint_result_parts,
-                                   experiment_digest, hash_parts)
+from repro.analysis.digest import branch_digest, hash_parts
 from repro.sim import Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.timers import SimTimerService
-from repro.testbed.schedule import (periodic_coordinated_checkpoints,
-                                    periodic_local_checkpoints)
-from repro.units import GB, GBPS, MB, MBPS, MS, SECOND, US
+from repro.units import GB, MB, MBPS, MS, SECOND
 
 
 # -- kernel microbenchmarks ----------------------------------------------------
@@ -151,191 +147,10 @@ def run_pipe_saturation(sim: Simulator, packets: int = 20_000,
 
 
 # -- figure rigs ----------------------------------------------------------------
-
-
-def build_fig6_rig(sim: Simulator, seed: int = 6, memory: int = 64 * MB,
-                   streams: Optional[RandomStreams] = None, tracer=None):
-    """The Figure 6 topology: two guests joined by one shaped GigE link."""
-    from repro.testbed import (Emulab, ExperimentSpec, LinkSpec, NodeSpec,
-                              TestbedConfig)
-
-    testbed = Emulab(sim, TestbedConfig(num_machines=4, seed=seed),
-                     streams=streams, tracer=tracer)
-    exp = testbed.define_experiment(ExperimentSpec(
-        "bench",
-        nodes=[NodeSpec("node0", memory_bytes=memory),
-               NodeSpec("node1", memory_bytes=memory)],
-        links=[LinkSpec("link0", "node0", "node1", bandwidth_bps=GBPS)]))
-    sim.run(until=exp.swap_in())
-    return testbed, exp
-
-
-def build_fig7_rig(sim: Simulator, num_nodes: int = 4,
-                   bandwidth_bps: int = 100 * MBPS, seed: int = 7,
-                   memory: int = 64 * MB,
-                   streams: Optional[RandomStreams] = None,
-                   faults=None, reliability=None, tracer=None):
-    """The Figure 7 topology: ``num_nodes`` guests on a shaped LAN."""
-    from repro.testbed import (Emulab, ExperimentSpec, NodeSpec,
-                              TestbedConfig)
-    from repro.testbed.experiment import LanSpec
-
-    testbed = Emulab(sim, TestbedConfig(num_machines=2 * num_nodes + 1,
-                                        seed=seed,
-                                        bus_reliability=reliability),
-                     streams=streams, faults=faults, tracer=tracer)
-    names = [f"node{i}" for i in range(num_nodes)]
-    exp = testbed.define_experiment(ExperimentSpec(
-        "bench",
-        nodes=[NodeSpec(n, memory_bytes=memory) for n in names],
-        lans=[LanSpec("lan0", tuple(names), bandwidth_bps=bandwidth_bps)]))
-    sim.run(until=exp.swap_in())
-    return testbed, exp
-
-
-def _periodic_checkpoints(sim: Simulator, experiment, period_ns: int,
-                          count: int, start_at_ns: int) -> list:
-    # Shared with the scenario-DSL compiler: the generator shape is part
-    # of the golden-digest contract (see repro/testbed/schedule.py).
-    return periodic_coordinated_checkpoints(sim, experiment,
-                                            period_ns=period_ns,
-                                            count=count,
-                                            start_at_ns=start_at_ns)
-
-
-def run_fig6(sim: Simulator, run_seconds: int = 20, num_ckpts: int = 3,
-             seed: int = 6,
-             streams: Optional[RandomStreams] = None, tracer=None) -> str:
-    """The Figure 6 scenario (iperf under coordinated checkpoints).
-
-    Returns the experiment digest, which covers guest virtual time, TCP
-    sequence state and counters, storage content maps, and delay-node
-    occupancy — any scheduling divergence changes it.
-    """
-    from repro.workloads import IperfSession
-
-    testbed, exp = build_fig6_rig(sim, seed=seed, streams=streams,
-                                  tracer=tracer)
-    sender, receiver = exp.kernel("node1"), exp.kernel("node0")
-    session = IperfSession(sender, receiver)
-    session.start()
-    start = sim.now
-    _periodic_checkpoints(sim, exp, period_ns=4 * SECOND, count=num_ckpts,
-                          start_at_ns=start + 3 * SECOND)
-    sim.run(until=start + run_seconds * SECOND)
-    session.stop()
-    sim.run(until=sim.now + 200 * MS)
-    return experiment_digest(exp)
-
-
-def run_fig7(sim: Simulator, run_seconds: int = 25, num_ckpts: int = 3,
-             seed: int = 7,
-             streams: Optional[RandomStreams] = None, tracer=None) -> str:
-    """The Figure 7 scenario (BitTorrent swarm under checkpoints)."""
-    from repro.workloads import BitTorrentSwarm
-
-    testbed, exp = build_fig7_rig(sim, seed=seed, streams=streams,
-                                  tracer=tracer)
-    kernels = [exp.kernel(f"node{i}") for i in range(4)]
-    swarm = BitTorrentSwarm(kernels, seeder_index=0, file_bytes=3 * GB,
-                            rng=testbed.streams.stream("bt"))
-    swarm.start()
-    start = sim.now
-    _periodic_checkpoints(sim, exp, period_ns=5 * SECOND, count=num_ckpts,
-                          start_at_ns=start + 5 * SECOND)
-    sim.run(until=start + run_seconds * SECOND)
-    return experiment_digest(exp)
-
-
-# -- checkpoint-pipeline equivalence scenarios ---------------------------------
 #
-# The fig4/fig5/fig8 digests below are the checkpoint-pipeline port gate:
-# their values were captured on the pre-pipeline monolithic implementation
-# and must stay bit-identical (see tests/test_pipeline_equivalence.py and
-# benchmarks/results/PIPELINE_digests.json).
-
-
-def _hash_parts(parts) -> str:
-    return hash_parts(parts)
-
-
-def build_single_node_rig(sim: Simulator, seed: int, memory: int = 128 * MB,
-                          streams: Optional[RandomStreams] = None,
-                          tracer=None):
-    """One checkpointable guest, swapped in (fig4/fig5 topology)."""
-    from repro.testbed import (Emulab, ExperimentSpec, NodeSpec,
-                              TestbedConfig)
-
-    testbed = Emulab(sim, TestbedConfig(num_machines=2, seed=seed),
-                     streams=streams, tracer=tracer)
-    exp = testbed.define_experiment(ExperimentSpec(
-        "bench", nodes=[NodeSpec("node0", memory_bytes=memory)]))
-    sim.run(until=exp.swap_in())
-    return testbed, exp
-
-
-def _periodic_local_checkpoints(sim: Simulator, checkpointer, period_ns: int,
-                                count: int, start_at_ns: int) -> list:
-    return periodic_local_checkpoints(sim, checkpointer,
-                                      period_ns=period_ns, count=count,
-                                      start_at_ns=start_at_ns)
-
-
-def _checkpoint_result_parts(results) -> list:
-    return checkpoint_result_parts(results)
-
-
-def run_fig4(sim: Simulator, iterations: int = 600, num_ckpts: int = 3,
-             seed: int = 4,
-             streams: Optional[RandomStreams] = None, tracer=None) -> str:
-    """The Figure 4 scenario (usleep loop under local checkpoints).
-
-    Returns a digest over the experiment state plus every checkpoint's
-    timing fields — any divergence in the checkpoint sequencing (phase
-    order, firewall windows, stop-and-copy timing) changes it.
-    ``tracer`` attaches observability (spans + records); the digest must
-    stay bit-identical with or without it.
-    """
-    from repro.workloads import SleeperBenchmark
-
-    _testbed, exp = build_single_node_rig(sim, seed=seed, streams=streams,
-                                          tracer=tracer)
-    kernel = exp.kernel("node0")
-    bench = SleeperBenchmark(kernel, iterations=iterations)
-    bench.start()
-    results = _periodic_local_checkpoints(
-        sim, exp.node("node0").checkpointer, period_ns=3 * SECOND,
-        count=num_ckpts, start_at_ns=sim.now + 2 * SECOND)
-    sim.run(until=bench.join())
-    parts = [experiment_digest(exp)]
-    parts.extend(_checkpoint_result_parts(results))
-    parts.append(("sleeper", len(bench.result.iteration_ns),
-                  sum(bench.result.iteration_ns),
-                  max(bench.result.iteration_ns)))
-    return _hash_parts(parts)
-
-
-def run_fig5(sim: Simulator, iterations: int = 30, num_ckpts: int = 3,
-             seed: int = 5,
-             streams: Optional[RandomStreams] = None, tracer=None) -> str:
-    """The Figure 5 scenario (CPU-intensive loop under local checkpoints)."""
-    from repro.workloads import CpuBurnBenchmark
-
-    _testbed, exp = build_single_node_rig(sim, seed=seed, streams=streams,
-                                          tracer=tracer)
-    bench = CpuBurnBenchmark(exp.kernel("node0"), 236_600_000,
-                             iterations=iterations)
-    bench.start()
-    results = _periodic_local_checkpoints(
-        sim, exp.node("node0").checkpointer, period_ns=2 * SECOND,
-        count=num_ckpts, start_at_ns=sim.now + 1 * SECOND)
-    sim.run(until=bench.join())
-    parts = [experiment_digest(exp)]
-    parts.extend(_checkpoint_result_parts(results))
-    parts.append(("cpuburn", len(bench.result.iteration_ns),
-                  sum(bench.result.iteration_ns),
-                  max(bench.result.iteration_ns)))
-    return _hash_parts(parts)
+# fig4-fig7 and ckpt10 are scenario files (repro.testbed.compile.
+# NAMED_SCENARIOS); fig8 runs on private simulators with no testbed, so
+# it stays a function here.
 
 
 def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
@@ -377,38 +192,4 @@ def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
         parts.append((config_name, throughput, config_sim.now))
         if branch is not None:
             parts.append(branch_digest(branch))
-    return _hash_parts(parts)
-
-
-def run_ckpt10(sim: Simulator, num_nodes: int = 10, run_seconds: int = 8,
-               seed: int = 10,
-               streams: Optional[RandomStreams] = None,
-               faults=None, reliability=None, tracer=None) -> str:
-    """A 10-node coordinated checkpoint through the full distributed path.
-
-    All ``num_nodes`` guests sit on one shaped LAN running sleep-loop
-    workloads; one clock-scheduled coordinated checkpoint runs mid-way.
-    Tracks the checkpoint-path wall-clock cost alongside the event-core
-    numbers in ``BENCH_sim_core.json``.  ``faults``/``reliability``/
-    ``tracer`` exist for the fault-free equivalence gate: attaching a
-    disabled injector must not move the digest.
-    """
-    from repro.workloads import SleeperBenchmark
-
-    _testbed, exp = build_fig7_rig(sim, num_nodes=num_nodes, seed=seed,
-                                   memory=32 * MB, streams=streams,
-                                   faults=faults, reliability=reliability,
-                                   tracer=tracer)
-    benches = [SleeperBenchmark(exp.kernel(f"node{i}"), iterations=10_000)
-               for i in range(num_nodes)]
-    for bench in benches:
-        bench.start()
-    start = sim.now
-    results = _periodic_checkpoints(sim, exp, period_ns=3 * SECOND, count=1,
-                                    start_at_ns=start + 2 * SECOND)
-    sim.run(until=start + run_seconds * SECOND)
-    parts = [experiment_digest(exp)]
-    parts.extend(("coord", r.suspend_skew_ns, r.resume_skew_ns,
-                  r.core_packets_captured, r.endpoint_packets_replayed,
-                  r.wall_duration_ns) for r in results)
-    return _hash_parts(parts)
+    return hash_parts(parts)

@@ -1,13 +1,12 @@
 """Crash-safe on-disk snapshots: journaled commits, fsck, crash points.
 
-:class:`~repro.checkpoint.snapshot.SnapshotStore` made snapshots
-*correct* (content-addressed chunks, strict manifests, two-phase
-restore) but kept them in memory — and its single-file ``save()`` could
-tear if the writer died mid-write.  This module makes them *durable*:
-:class:`DurableSnapshotStore` persists every snapshot through a
-journal/commit-marker protocol under which a crash at **any**
-instruction leaves the store recoverable to exactly the previous or the
-new committed snapshot — never anything in between.
+:class:`DurableSnapshotStore` is the one on-disk snapshot format.  It
+keeps the in-memory :class:`~repro.checkpoint.snapshot.SnapshotStore`
+semantics (content-addressed chunks, strict manifests, two-phase
+restore) and persists every snapshot through a journal/commit-marker
+protocol under which a crash at **any** instruction leaves the store
+recoverable to exactly the previous or the new committed snapshot —
+never anything in between.
 
 On-disk layout (all under one root directory)::
 

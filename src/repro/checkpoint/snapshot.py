@@ -11,7 +11,9 @@ storage persists disk deltas (§4.5, §5.1):
   canonically (sorted-key JSON), split into fixed-size chunks, and stored
   by SHA-256.  Chunks shared with any earlier snapshot are stored once, so
   the *incremental* cost of snapshot N+1 is only what actually changed —
-  the redo-log property, applied to component state.
+  the redo-log property, applied to component state.  The store keeps
+  them in memory; :class:`~repro.checkpoint.durable.DurableSnapshotStore`
+  is the one on-disk format.
 * **strict manifests** — one :class:`SnapshotManifest` per snapshot records
   every provider's name, schema version, payload digest, and chunk list,
   plus the parent snapshot reference.  ``from_dict`` rejects unknown or
@@ -29,10 +31,8 @@ time-travel controller's replay-from-origin into restore-then-run (§6).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -105,9 +105,6 @@ class ChunkStore:
                 raise SnapshotError(f"corrupted chunk {ref[:12]}…")
             parts.append(chunk)
         return b"".join(parts)
-
-    def has(self, ref: str) -> bool:
-        return ref in self._chunks
 
     def corrupt(self, ref: str) -> None:
         """Flip one byte of a stored chunk (test hook for rejection paths)."""
@@ -289,6 +286,14 @@ class SnapshotStore:
                 f"{snapshot_id}/{rec.name}: undecodable payload: "
                 f"{exc}") from exc
 
+    def is_damaged(self, snapshot_id: str) -> bool:
+        """Whether a stored snapshot is unusable; never, in memory."""
+        return False
+
+    def resume_manifests(self) -> List[SnapshotManifest]:
+        """Every stored manifest in the order it was taken."""
+        return [self.manifests[sid] for sid in self.order]
+
     # ------------------------------------------------------------------ restore
 
     def restore(self, snapshot_id: str, providers) -> SnapshotManifest:
@@ -360,80 +365,3 @@ class SnapshotStore:
                 "unchanged": sorted(n for n in set(a) & set(b)
                                     if a[n].digest == b[n].digest),
                 "changed": changed}
-
-    # ------------------------------------------------------------------ persistence
-
-    def to_json(self) -> dict:
-        """The whole store as one JSON document (chunks base64-encoded)."""
-        refs = sorted({ref for m in self.manifests.values()
-                       for rec in m.providers for ref in rec.chunks})
-        return {"format": MANIFEST_FORMAT,
-                "snapshots": [self.manifests[sid].to_dict()
-                              for sid in self.order],
-                "chunks": {ref: base64.b64encode(
-                               self.chunks.get((ref,))).decode("ascii")
-                           for ref in refs}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SnapshotStore":
-        if not isinstance(data, dict):
-            raise SnapshotError("malformed store document: not a mapping")
-        _require(data, ("format", "snapshots", "chunks"), "store document")
-        if data["format"] != MANIFEST_FORMAT:
-            raise SnapshotError(
-                f"store format {data['format']!r} unsupported")
-        store = cls()
-        for ref, blob64 in data["chunks"].items():
-            try:
-                chunk = base64.b64decode(blob64)
-            except (ValueError, TypeError) as exc:
-                raise SnapshotError(
-                    f"chunk {ref[:12]}…: invalid base64") from exc
-            if hashlib.sha256(chunk).hexdigest() != ref:
-                raise SnapshotError(f"corrupted chunk {ref[:12]}… on load")
-            store.chunks._chunks[ref] = chunk
-            store.chunks.chunks_stored += 1
-            store.chunks.bytes_stored += len(chunk)
-        for entry in data["snapshots"]:
-            manifest = SnapshotManifest.from_dict(entry)
-            for rec in manifest.providers:
-                for ref in rec.chunks:
-                    if not store.chunks.has(ref):
-                        raise SnapshotError(
-                            f"{manifest.snapshot_id}/{rec.name}: chunk "
-                            f"{ref[:12]}… missing from store document")
-            store.manifests[manifest.snapshot_id] = manifest
-            store.order.append(manifest.snapshot_id)
-        return store
-
-    def save(self, path: str) -> None:
-        """Write the store to ``path`` atomically (temp + fsync + rename).
-
-        A crash mid-save leaves either the previous file intact or a
-        ``.tmp`` sibling beside it — never a torn store file that a
-        later :meth:`load` would half-parse.
-        """
-        blob = json.dumps(self.to_json(), indent=1,
-                          sort_keys=True).encode("utf-8")
-        tmp = path + ".tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            os.write(fd, blob)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "SnapshotStore":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise SnapshotError(
-                f"cannot read store file {path}: {exc}") from exc
-        except ValueError as exc:
-            raise SnapshotError(
-                f"unreadable store file {path}: truncated or not a "
-                f"snapshot store ({exc})") from exc
-        return cls.from_json(data)

@@ -284,7 +284,7 @@ class FaultInjector:
         restored run's future fault decisions match the replayed run's.
         Cannot serialize while a crash→reboot window is open (live span).
         """
-        from repro.sim.random import rng_state_to_json
+        from repro.sim.random import encode_rng_state
 
         if self._windows:
             raise CheckpointError(
@@ -292,7 +292,7 @@ class FaultInjector:
                 f"{sorted(self._windows)} cannot be serialized")
         return {
             "seed": self.plan.seed,
-            "rngs": {name: rng_state_to_json(rng.getstate())
+            "rngs": {name: encode_rng_state(rng.getstate())
                      for name, rng in sorted(self._rngs.items())},
             "losses": [b.remaining for b in self._losses],
             "disk_remaining": list(self._disk_remaining),
@@ -308,7 +308,7 @@ class FaultInjector:
         dropped so first use re-derives from the seed — matching a
         replayed world that had not touched them yet.
         """
-        from repro.sim.random import rng_state_from_json
+        from repro.sim.random import decode_rng_state
 
         expected = ("seed", "rngs", "losses", "disk_remaining",
                     "injected")
@@ -326,7 +326,7 @@ class FaultInjector:
             if name not in state["rngs"]:
                 del self._rngs[name]
         for name, rng_state in state["rngs"].items():
-            self._rng(name).setstate(rng_state_from_json(rng_state))
+            self._rng(name).setstate(decode_rng_state(rng_state))
         for budget, remaining in zip(self._losses, state["losses"]):
             budget.remaining = remaining
         self._disk_remaining = list(state["disk_remaining"])

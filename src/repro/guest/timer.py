@@ -243,7 +243,7 @@ class VirtualTimerWheel:
         triple (``fire_at``, seq at NORMAL priority) for verbatim
         re-insertion.
         """
-        from repro.sim.random import rng_state_to_json
+        from repro.sim.random import encode_rng_state
 
         self.pending_count                  # prune cancelled/fired entries
         timers = []
@@ -261,7 +261,7 @@ class VirtualTimerWheel:
                 "timers": timers,
                 "batch_seqs": {str(fire_at): seq for fire_at, seq
                                in sorted(self._due_seqs.items())},
-                "rng": rng_state_to_json(self.rng.getstate())}
+                "rng": encode_rng_state(self.rng.getstate())}
 
     def restore_state(self, state: dict,
                       resolver: Callable[[str], Callable[[], None]]
@@ -274,7 +274,7 @@ class VirtualTimerWheel:
         too, so subsequent arms draw exactly what the snapshotted world
         would have drawn.  Returns the new handles by tag.
         """
-        from repro.sim.random import rng_state_from_json
+        from repro.sim.random import decode_rng_state
 
         expected = ("name", "frozen", "max_slack_ns", "timers",
                     "batch_seqs", "rng")
@@ -291,7 +291,7 @@ class VirtualTimerWheel:
                 f"wheel ({self.pending_count} timers pending)")
         self._frozen = bool(state["frozen"])
         self._version += 1
-        self.rng.setstate(rng_state_from_json(state["rng"]))
+        self.rng.setstate(decode_rng_state(state["rng"]))
         handles: Dict[str, TimerHandle] = {}
         for spec in state["timers"]:
             entry = _TimerEntry(self, spec["vdeadline"],

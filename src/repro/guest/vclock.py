@@ -90,18 +90,18 @@ class VirtualClock:
         jitter draw matches the snapshotted world's next draw (the
         determinism contract of every serialize/restore pair).
         """
-        from repro.sim.random import rng_state_to_json
+        from repro.sim.random import encode_rng_state
 
         return {"hidden": self._hidden, "frozen": self._frozen,
                 "frozen_value": self._frozen_value,
                 "freezes": self.freezes,
                 "total_hidden_ns": self.total_hidden_ns,
                 "total_rebase_error_ns": self.total_rebase_error_ns,
-                "rng": rng_state_to_json(self.rng.getstate())}
+                "rng": encode_rng_state(self.rng.getstate())}
 
     def restore_state(self, state: dict) -> None:
         """Re-apply a :meth:`serialize_state` payload (same sim instant)."""
-        from repro.sim.random import rng_state_from_json
+        from repro.sim.random import decode_rng_state
 
         expected = ("hidden", "frozen", "frozen_value", "freezes",
                     "total_hidden_ns", "total_rebase_error_ns", "rng")
@@ -113,4 +113,4 @@ class VirtualClock:
         self.freezes = state["freezes"]
         self.total_hidden_ns = state["total_hidden_ns"]
         self.total_rebase_error_ns = state["total_rebase_error_ns"]
-        self.rng.setstate(rng_state_from_json(state["rng"]))
+        self.rng.setstate(decode_rng_state(state["rng"]))

@@ -331,7 +331,7 @@ class Pipe:
         Packet uids are not preserved across the boundary — restored
         packets draw fresh ids; nothing orders or digests on uid.
         """
-        from repro.sim.random import rng_state_to_json
+        from repro.sim.random import encode_rng_state
 
         cfg = self.config
         tx = self._transmitting
@@ -353,7 +353,7 @@ class Pipe:
                          "dropped_loss": self.dropped_loss,
                          "dropped_queue": self.dropped_queue,
                          "frozen_arrivals": self.frozen_arrivals},
-            "rng": rng_state_to_json(self.rng.getstate()),
+            "rng": encode_rng_state(self.rng.getstate()),
         }
 
     def restore_serialized(self, state: dict) -> None:
@@ -366,7 +366,7 @@ class Pipe:
         restored world pops it in replay-identical order.
         """
         from repro.sim.core import NORMAL
-        from repro.sim.random import rng_state_from_json
+        from repro.sim.random import decode_rng_state
 
         expected = ("name", "frozen", "config", "queue",
                     "transmitting", "delay_line", "calls", "counters",
@@ -399,7 +399,7 @@ class Pipe:
         self.dropped_loss = counters["dropped_loss"]
         self.dropped_queue = counters["dropped_queue"]
         self.frozen_arrivals = counters["frozen_arrivals"]
-        self.rng.setstate(rng_state_from_json(state["rng"]))
+        self.rng.setstate(decode_rng_state(state["rng"]))
         calls = state["calls"]
         if set(calls) != {"advance"}:
             raise CheckpointError(f"pipe {self.name}: malformed calls")

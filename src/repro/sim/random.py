@@ -15,7 +15,7 @@ from typing import Dict, List
 from repro.errors import CheckpointError
 
 
-def rng_state_to_json(state) -> List:
+def encode_rng_state(state) -> List:
     """Encode ``random.Random.getstate()`` as a JSON-serializable list.
 
     The Mersenne Twister state is ``(version, tuple-of-ints, gauss_next)``
@@ -25,8 +25,8 @@ def rng_state_to_json(state) -> List:
     return [version, list(internal), gauss_next]
 
 
-def rng_state_from_json(data) -> tuple:
-    """Decode a list produced by :func:`rng_state_to_json`."""
+def decode_rng_state(data) -> tuple:
+    """Decode a list produced by :func:`encode_rng_state`."""
     if not (isinstance(data, list) and len(data) == 3
             and isinstance(data[1], list)):
         raise CheckpointError(f"malformed RNG state: {type(data).__name__}")
@@ -61,7 +61,7 @@ class RandomStreams:
     def serialize_state(self) -> dict:
         """Every instantiated substream's exact generator position."""
         return {"seed": self.seed,
-                "streams": {name: rng_state_to_json(rng.getstate())
+                "streams": {name: encode_rng_state(rng.getstate())
                             for name, rng in sorted(self._streams.items())}}
 
     def restore_state(self, state: dict) -> None:
@@ -84,7 +84,7 @@ class RandomStreams:
             if name not in snapshot:
                 del self._streams[name]     # recreate lazily at derived seed
         for name, encoded in snapshot.items():
-            self.stream(name).setstate(rng_state_from_json(encoded))
+            self.stream(name).setstate(decode_rng_state(encoded))
 
 
 def derived_rng(name: str, seed: int = 0) -> random.Random:

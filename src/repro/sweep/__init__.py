@@ -9,9 +9,10 @@ digest-agreement check across repeated runs — thousands of cheap
 deterministic runs instead of one big one (ROADMAP item 2).
 """
 
-from repro.sweep.grid import SweepPlan, expand_grid, load_sweep, set_path
+from repro.sweep.grid import SweepPlan, expand_grid, load_sweep
 from repro.sweep.report import human_report
 from repro.sweep.runner import run_sweep, run_sweep_file
+from repro.testbed.dsl import set_path
 
 __all__ = ["SweepPlan", "expand_grid", "human_report", "load_sweep",
            "run_sweep", "run_sweep_file", "set_path"]

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import itertools
 import os
-import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ScenarioError
-from repro.testbed.dsl import load_scenario_data
-
-_STEP_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
+from repro.testbed.dsl import load_scenario_data, parse_path
 
 
 @dataclass(frozen=True)
@@ -55,70 +52,6 @@ def expand_grid(matrix: Dict[str, List[Any]]) -> List[Dict[str, Any]]:
     keys = sorted(matrix)
     return [dict(zip(keys, values))
             for values in itertools.product(*(matrix[k] for k in keys))]
-
-
-def parse_path(path: str, source: str = "") -> List[Tuple[str, Optional[int]]]:
-    """Split ``"checkpoints.period_ms"`` / ``"workloads[0].iterations"``
-    into (key, optional index) steps."""
-    steps: List[Tuple[str, Optional[int]]] = []
-    for part in path.split("."):
-        match = _STEP_RE.match(part)
-        if match is None:
-            raise ScenarioError(
-                f"malformed override path {path!r} (expected dotted keys "
-                f"with optional [index])", path=path, source=source)
-        steps.append((match.group(1),
-                      int(match.group(2)) if match.group(2) else None))
-    return steps
-
-
-def set_path(data: Dict[str, Any], path: str, value: Any,
-             source: str = "") -> None:
-    """Assign ``value`` at a dotted path, creating tables as needed.
-
-        >>> doc = {"checkpoints": {"period_ms": 3000}}
-        >>> set_path(doc, "checkpoints.period_ms", 2000)
-        >>> set_path(doc, "run.seconds", 8)
-        >>> doc == {"checkpoints": {"period_ms": 2000},
-        ...         "run": {"seconds": 8}}
-        True
-
-    Array elements must already exist (a sweep varies values, it does
-    not grow topologies):
-
-        >>> set_path({"nodes": [{"memory_mb": 64}]},
-        ...          "nodes[1].memory_mb", 32)
-        Traceback (most recent call last):
-          ...
-        repro.errors.ScenarioError: nodes[1].memory_mb: index 1 is out of \
-range (array has 1 element(s))
-    """
-    steps = parse_path(path, source)
-    target: Any = data
-    for i, (key, index) in enumerate(steps):
-        last = i == len(steps) - 1
-        if not isinstance(target, dict):
-            raise ScenarioError(
-                f"{'.'.join(s for s, _ in steps[:i])} is not a table",
-                path=path, source=source)
-        if index is None:
-            if last:
-                target[key] = value
-                return
-            target = target.setdefault(key, {})
-        else:
-            array = target.get(key)
-            if not isinstance(array, list):
-                raise ScenarioError(f"{key} is not an array of tables",
-                                    path=path, source=source)
-            if index >= len(array):
-                raise ScenarioError(
-                    f"index {index} is out of range (array has "
-                    f"{len(array)} element(s))", path=path, source=source)
-            if last:
-                array[index] = value
-                return
-            target = array[index]
 
 
 def load_sweep(path: str,

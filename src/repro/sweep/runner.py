@@ -1,8 +1,8 @@
 """The sweep fleet runner: one worker process per grid-point run.
 
-Every run re-loads the scenario file, applies the sweep's overrides and
-its grid-point assignment to the raw document, then validates, compiles,
-and runs it in a fresh :class:`~repro.sim.core.Simulator` — workers
+Every run re-loads the scenario file through
+:func:`~repro.testbed.dsl.load_scenario` with the sweep's overrides and
+its grid-point assignment, then compiles and runs it in a fresh :class:`~repro.sim.core.Simulator` — workers
 share nothing, so the sweep is embarrassingly parallel and each run is
 exactly as deterministic as a standalone ``repro scenario`` invocation.
 Repeated runs of the same grid point must produce identical digests;
@@ -11,30 +11,16 @@ the aggregated report carries that agreement check.
 
 from __future__ import annotations
 
-import copy
 import json
 import multiprocessing
 import os
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.sweep.grid import SweepPlan, load_sweep, set_path
+from repro.sweep.grid import SweepPlan, load_sweep
 
 #: set in workers so nested tooling can tell it runs inside a sweep
 SWEEP_WORKER_ENV = "REPRO_SWEEP_WORKER"
-
-
-def _expanded_document(plan: SweepPlan,
-                       point: Dict[str, Any]) -> Dict[str, Any]:
-    """The scenario document for one grid point (overrides + matrix)."""
-    from repro.testbed.dsl import load_scenario_data
-
-    data = copy.deepcopy(load_scenario_data(plan.scenario_path))
-    for path, value in sorted(plan.overrides.items()):
-        set_path(data, path, value, source=plan.source)
-    for path, value in sorted(point.items()):
-        set_path(data, path, value, source=plan.source)
-    return data
 
 
 def _run_one(task: Dict[str, Any]) -> Dict[str, Any]:
@@ -44,14 +30,14 @@ def _run_one(task: Dict[str, Any]) -> Dict[str, Any]:
     pay only for what the scenario actually uses.
     """
     from repro.testbed.compile import compile_scenario
-    from repro.testbed.dsl import parse_scenario
+    from repro.testbed.dsl import load_scenario
 
     os.environ[SWEEP_WORKER_ENV] = "1"
     started = time.perf_counter()  # repro: noqa=DET001 — wall cost report
     record: Dict[str, Any] = {"run": task["run"], "point": task["point"],
                               "repeat": task["repeat"]}
     try:
-        spec = parse_scenario(task["data"], source=task["source"])
+        spec = load_scenario(task["path"], overrides=task["overrides"])
         result = compile_scenario(spec).run()
         record.update(ok=True, digest=result.digest, recipe=result.recipe,
                       virtual_now_ns=result.virtual_now_ns,
@@ -74,11 +60,13 @@ def run_sweep(plan: SweepPlan,
     tasks: List[Dict[str, Any]] = []
     run_id = 0
     for point in points:
-        data = _expanded_document(plan, point)
+        # the sweep's fixed overrides first, then the grid point's values
+        overrides = dict(sorted(plan.overrides.items()))
+        overrides.update(sorted(point.items()))
         for repeat in range(plan.repeat):
             tasks.append({"run": run_id, "point": point, "repeat": repeat,
-                          "data": copy.deepcopy(data),
-                          "source": os.path.basename(plan.scenario_path)})
+                          "path": plan.scenario_path,
+                          "overrides": overrides})
             run_id += 1
     if processes is None:
         processes = plan.processes

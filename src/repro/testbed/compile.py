@@ -1,12 +1,13 @@
 """Compile a validated :class:`~repro.testbed.dsl.ScenarioSpec` into a rig.
 
 :func:`compile_scenario` turns one parsed scenario into a
-:class:`CompiledScenario` whose :meth:`~CompiledScenario.run` constructs
-exactly the objects the hand-wired figure scenarios construct — same
-``Emulab`` configuration, same workload constructors, same checkpoint
-schedule generators (:mod:`repro.testbed.schedule`) — so a DSL file and
-its hand-wired twin produce **bit-identical digests**.  The equivalence
-tests (``tests/test_dsl_equivalence.py``) hold the compiler to that.
+:class:`CompiledScenario` whose :meth:`~CompiledScenario.run` builds the
+``Emulab`` rig, starts the workloads, drives the checkpoint schedule
+(:mod:`repro.testbed.schedule`) and assembles the digest.  The scenario
+files are the only definition of the figure experiments:
+:data:`NAMED_SCENARIOS` maps every golden name to its file plus
+overrides, and the stored goldens
+(``benchmarks/results/PIPELINE_digests.json``) are the oracle.
 
 Digest recipes (``[run] digest``, default ``"auto"``):
 
@@ -20,18 +21,20 @@ Digest recipes (``[run] digest``, default ``"auto"``):
     experiment digest + per-round coordinated parts (ckpt10 style).
 ``survival``
     ``sha256(trace_digest + ":" + experiment_digest)`` — the fault-storm
-    :class:`~repro.faults.scenario.SurvivalReport` fingerprint.
+    fingerprint over the traced recovery path and the final state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.digest import (checkpoint_result_parts,
                                    coordinated_result_parts,
-                                   experiment_digest, hash_parts)
+                                   experiment_digest, hash_parts,
+                                   trace_digest)
 from repro.errors import ScenarioError
 from repro.sim import Simulator
 from repro.testbed.dsl import ScenarioSpec, load_scenario
@@ -40,8 +43,37 @@ from repro.testbed.schedule import (periodic_coordinated_checkpoints,
                                     supervised_checkpoints)
 from repro.units import MB, MS, SECOND
 
-__all__ = ["CompiledScenario", "ScenarioResult", "compile_scenario",
+__all__ = ["CompiledScenario", "NAMED_SCENARIOS", "SCENARIO_DIR",
+           "ScenarioResult", "compile_scenario", "load_named",
            "run_scenario_file"]
+
+#: the scenario files shipped with the repository
+SCENARIO_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))), "examples", "scenarios")
+
+#: every named experiment -> (scenario file, dotted-path overrides).  A
+#: name with a stored golden must reproduce it bit for bit.
+NAMED_SCENARIOS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "fig4_sleep": ("fig4.toml", {}),
+    "fig5_cpuburn": ("fig5.toml", {}),
+    "fig6_iperf": ("fig6.toml", {}),
+    "fig6_iperf_5s_1ckpt": ("fig6.toml", {"run.seconds": 5,
+                                          "checkpoints.count": 1}),
+    "fig7_bittorrent": ("fig7.toml", {}),
+    "fig7_bittorrent_8s_1ckpt": ("fig7.toml", {"run.seconds": 8,
+                                               "checkpoints.count": 1}),
+    "ckpt10_coordinated": ("ckpt10_coordinated.toml", {}),
+    "ckpt10_faultstorm": ("ckpt10_faultstorm.toml", {}),
+}
+
+
+def load_named(name: str,
+               overrides: Optional[Dict[str, Any]] = None) -> ScenarioSpec:
+    """Load a :data:`NAMED_SCENARIOS` entry, plus extra ``overrides``."""
+    filename, base = NAMED_SCENARIOS[name]
+    return load_scenario(os.path.join(SCENARIO_DIR, filename),
+                         overrides={**base, **(overrides or {})})
 
 
 @dataclass
@@ -57,6 +89,13 @@ class ScenarioResult:
     details: Dict[str, Any] = field(default_factory=dict)
     races: int = 0
     race_report: str = ""
+    #: testbed kind only: the swapped-in experiment, the started
+    #: workloads as (kind, object) pairs, the checkpoint results in
+    #: completion order, and the virtual time swap-in finished at
+    experiment: Any = None
+    workloads: List[Tuple[str, Any]] = field(default_factory=list)
+    checkpoints: List[Any] = field(default_factory=list)
+    swap_in_ns: int = 0
 
 
 def _policy(name: str):
@@ -79,17 +118,33 @@ class CompiledScenario:
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
 
-    def run(self, sim: Optional[Simulator] = None,
-            race: bool = False) -> ScenarioResult:
-        """Build the rig, run it, and assemble the digest."""
+    def run(self, sim: Optional[Simulator] = None, race: bool = False,
+            tracer=None, streams=None) -> ScenarioResult:
+        """Build the rig, run it, and assemble the digest.
+
+        ``sim`` supplies the simulator (e.g. one with profiling on),
+        ``race`` attaches the event-race detector, ``tracer`` records
+        spans and records (it never moves a digest), and ``streams``
+        replaces the testbed's random streams (shadow runs).  World
+        scenarios build their own simulator and accept none of them.
+        """
         if self.spec.kind == "world":
+            given = [name for name, value in (
+                ("sim", sim), ("tracer", tracer), ("streams", streams))
+                if value is not None] + (["race"] if race else [])
+            if given:
+                raise ScenarioError(
+                    f"world scenarios build their own simulator; "
+                    f"{', '.join(given)} applies only to testbed "
+                    f"scenarios", path="scenario.kind",
+                    source=self.spec.source)
             return self._run_world()
-        return self._run_testbed(sim, race)
+        return self._run_testbed(sim, race, tracer, streams)
 
     # -- testbed kind ----------------------------------------------------------
 
-    def _run_testbed(self, sim: Optional[Simulator],
-                     race: bool) -> ScenarioResult:
+    def _run_testbed(self, sim: Optional[Simulator], race: bool, tracer,
+                     streams) -> ScenarioResult:
         from repro.checkpoint import (CheckpointSupervisor,
                                       ReliabilityConfig)
         from repro.faults.injector import FaultInjector
@@ -102,11 +157,10 @@ class CompiledScenario:
             sim = Simulator()
         detector = sim.enable_race_detection() if race else None
         recipe = spec.digest_recipe
-        # The survival digest hashes the trace, so that recipe (and only
-        # that recipe) gets a tracer — matching run_faultstorm.  Other
-        # recipes run untraced like their hand-wired twins.
-        tracer = (Tracer(clock=lambda: sim.now)
-                  if recipe == "survival" else None)
+        # The survival digest hashes the trace, so that recipe always
+        # runs traced; the others trace only when the caller asks.
+        if tracer is None and recipe == "survival":
+            tracer = Tracer(clock=lambda: sim.now)
         injector = None
         if spec.fault_plan is not None:
             injector = FaultInjector(sim, spec.fault_plan, tracer=tracer)
@@ -116,7 +170,8 @@ class CompiledScenario:
             bus_reliability=(ReliabilityConfig() if spec.reliable_bus
                              else None),
             stage_timeout_ns=spec.stage_timeout_ns)
-        testbed = Emulab(sim, config, tracer=tracer, faults=injector)
+        testbed = Emulab(sim, config, streams=streams, tracer=tracer,
+                         faults=injector)
         exp = testbed.define_experiment(spec.experiment)
         sim.run(until=exp.swap_in())
         start = sim.now
@@ -170,17 +225,21 @@ class CompiledScenario:
         if supervisor is not None:
             details["supervisor_attempts"] = supervisor.attempts
             details["excluded"] = sorted(exp.coordinator.excluded)
+        bus = testbed.control.bus
         if spec.reliable_bus:
-            bus = testbed.control.bus
             details["bus"] = {"retransmits": bus.retransmits,
                               "gave_up": bus.gave_up,
                               "duplicates_suppressed":
                                   bus.duplicates_suppressed}
+        if recipe == "survival":
+            details["metrics"] = bus.metrics.snapshot()
         return ScenarioResult(
             name=spec.name, recipe=recipe, digest=digest,
             virtual_now_ns=sim.now, details=details,
             races=detector.race_count if detector is not None else 0,
-            race_report=detector.report() if detector is not None else "")
+            race_report=detector.report() if detector is not None else "",
+            experiment=exp, workloads=instances, checkpoints=results,
+            swap_in_ns=start)
 
     def _start_workloads(self, testbed, exp) -> List:
         """Construct and start every workload; returns (kind, obj) pairs."""
@@ -246,12 +305,11 @@ class CompiledScenario:
             parts = [exp_digest]
             parts.extend(coordinated_result_parts(results))
             return hash_parts(parts), details
-        # survival: the SurvivalReport.digest recipe
-        from repro.faults.scenario import trace_digest
-
+        # survival: the trace and the final state, hashed together
         td = trace_digest(tracer.records)
         details["trace_records"] = len(tracer.records)
         details["completed"] = bool(results) and results[0].ok
+        details["experiment_digest"] = exp_digest
         blob = f"{td}:{exp_digest}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest(), details
 

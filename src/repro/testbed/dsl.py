@@ -3,10 +3,12 @@
 A scenario file describes a complete experiment — topology (nodes,
 links, LANs with their Dummynet pipe parameters), workloads, checkpoint
 schedule, fault plan, seeds, and snapshot/durability options — and
-compiles (:mod:`repro.testbed.compile`) into the same
-:class:`~repro.testbed.emulab.Emulab` rig the hand-wired figure
-scenarios run on.  The schema reference with every table and key lives
-in ``docs/scenarios.md``; exemplar files under ``examples/scenarios/``.
+compiles (:mod:`repro.testbed.compile`) into an
+:class:`~repro.testbed.emulab.Emulab` rig.  The files under
+``examples/scenarios/`` are the only definition of the paper's figure
+experiments; a variant is a file plus dotted-path overrides
+(:func:`load_scenario`).  The schema reference with every table and key
+lives in ``docs/scenarios.md``.
 
 Three design rules:
 
@@ -40,6 +42,7 @@ Three design rules:
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import re
@@ -56,11 +59,12 @@ from repro.units import MB, MBPS, MS, SECOND
 
 __all__ = [
     "CheckpointSchedule", "RunSpec", "ScenarioSpec", "WorkloadSpec",
-    "WorldSpec", "load_scenario", "parse_scenario",
-    "substitute_placeholders",
+    "WorldSpec", "load_scenario", "parse_path", "parse_scenario",
+    "set_path", "substitute_placeholders",
 ]
 
 PLACEHOLDER_RE = re.compile(r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*\}\}")
+_STEP_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 
 #: workload kinds the compiler knows how to start
 WORKLOAD_KINDS = ("sleeper", "cpuburn", "iperf", "bittorrent")
@@ -190,6 +194,73 @@ def substitute_placeholders(text: str, env: Optional[Dict[str, str]] = None,
             f"unresolved placeholder(s): {', '.join(missing)} (set the "
             f"environment variable(s) or remove the marker)", source=source)
     return PLACEHOLDER_RE.sub(lambda m: env[m.group(1)], text)
+
+
+# -- dotted-path overrides -----------------------------------------------------
+
+
+def parse_path(path: str, source: str = "") -> List[Tuple[str, Optional[int]]]:
+    """Split ``"checkpoints.period_ms"`` / ``"workloads[0].iterations"``
+    into (key, optional index) steps."""
+    steps: List[Tuple[str, Optional[int]]] = []
+    for part in path.split("."):
+        match = _STEP_RE.match(part)
+        if match is None:
+            raise ScenarioError(
+                f"malformed override path {path!r} (expected dotted keys "
+                f"with optional [index])", path=path, source=source)
+        steps.append((match.group(1),
+                      int(match.group(2)) if match.group(2) else None))
+    return steps
+
+
+def set_path(data: Dict[str, Any], path: str, value: Any,
+             source: str = "") -> None:
+    """Assign ``value`` at a dotted path, creating tables as needed.
+
+        >>> doc = {"checkpoints": {"period_ms": 3000}}
+        >>> set_path(doc, "checkpoints.period_ms", 2000)
+        >>> set_path(doc, "run.seconds", 8)
+        >>> doc == {"checkpoints": {"period_ms": 2000},
+        ...         "run": {"seconds": 8}}
+        True
+
+    Array elements must already exist (an override varies values, it
+    does not grow topologies):
+
+        >>> set_path({"nodes": [{"memory_mb": 64}]},
+        ...          "nodes[1].memory_mb", 32)
+        Traceback (most recent call last):
+          ...
+        repro.errors.ScenarioError: nodes[1].memory_mb: index 1 is out of \
+range (array has 1 element(s))
+    """
+    steps = parse_path(path, source)
+    target: Any = data
+    for i, (key, index) in enumerate(steps):
+        last = i == len(steps) - 1
+        if not isinstance(target, dict):
+            raise ScenarioError(
+                f"{'.'.join(s for s, _ in steps[:i])} is not a table",
+                path=path, source=source)
+        if index is None:
+            if last:
+                target[key] = value
+                return
+            target = target.setdefault(key, {})
+        else:
+            array = target.get(key)
+            if not isinstance(array, list):
+                raise ScenarioError(f"{key} is not an array of tables",
+                                    path=path, source=source)
+            if index >= len(array):
+                raise ScenarioError(
+                    f"index {index} is out of range (array has "
+                    f"{len(array)} element(s))", path=path, source=source)
+            if last:
+                array[index] = value
+                return
+            target = array[index]
 
 
 # -- schema machinery ----------------------------------------------------------
@@ -462,11 +533,32 @@ def _parse_run(v: _V, schedule: CheckpointSchedule) -> RunSpec:
     return run
 
 
-def _parse_faults(v: _V, seed_default: int = 0) -> Optional[FaultPlan]:
+def _agent_names(experiment: ExperimentSpec) -> List[str]:
+    """Every checkpoint agent the experiment will register: one per
+    node, one per shaped link's delay node, one per LAN member."""
+    from repro.testbed.mapping import needs_delay_node
+
+    names = [n.name for n in experiment.nodes]
+    names.extend(link.name for link in experiment.links
+                 if needs_delay_node(link))
+    names.extend(f"{lan.name}.{member}" for lan in experiment.lans
+                 for member in lan.members)
+    return names
+
+
+def _agent(av: _V, agents: List[str]) -> str:
+    agent = av.get("agent", "str", required=True)
+    if agent not in agents:
+        raise av.error(f"references unknown agent {agent!r} "
+                       f"(agents: {', '.join(agents)})", "agent")
+    return agent
+
+
+def _parse_faults(v: _V, agents: List[str]) -> Optional[FaultPlan]:
     fv = v.table("faults")
     if fv is None:
         return None
-    seed = fv.get("seed", "int", default=seed_default)
+    seed = fv.get("seed", "int", default=0)
     bus = BusFaultConfig()
     bv = fv.table("bus")
     if bv is not None:
@@ -485,7 +577,7 @@ def _parse_faults(v: _V, seed_default: int = 0) -> Optional[FaultPlan]:
     crashes = []
     for cv in fv.tables("crashes"):
         crashes.append(AgentCrash(
-            agent=cv.get("agent", "str", required=True),
+            agent=_agent(cv, agents),
             at_ns=_ns(cv.get("at_ms", "number"), MS),
             stage=cv.get("stage", "str"),
             offset_ns=_ns(cv.get("offset_ms", "number", default=1), MS),
@@ -501,7 +593,7 @@ def _parse_faults(v: _V, seed_default: int = 0) -> Optional[FaultPlan]:
     delay_failures = []
     for dv in fv.tables("delay_failures"):
         delay_failures.append(DelayNodeFailure(
-            agent=dv.get("agent", "str", required=True),
+            agent=_agent(dv, agents),
             at_ns=_ns(dv.get("at_ms", "number", required=True), MS)))
         dv.finish()
     disk_faults = []
@@ -640,7 +732,7 @@ def parse_scenario(data: Dict[str, Any],
     spec.workloads = _parse_workloads(v, node_names)
     spec.schedule = _parse_checkpoints(v, node_names)
     spec.run = _parse_run(v, spec.schedule)
-    spec.fault_plan = _parse_faults(v)
+    spec.fault_plan = _parse_faults(v, _agent_names(experiment))
     if (spec.schedule.mode == "supervised" and spec.run.seconds is None):
         raise v.error('supervised checkpoints need an explicit [run] '
                       'seconds horizon (the storm must not wait on '
@@ -649,24 +741,31 @@ def parse_scenario(data: Dict[str, Any],
     return spec
 
 
-def load_scenario(path: str,
-                  env: Optional[Dict[str, str]] = None) -> ScenarioSpec:
-    """Load, substitute, parse, and validate one scenario file.
+def load_scenario(path: str, env: Optional[Dict[str, str]] = None,
+                  overrides: Optional[Dict[str, Any]] = None
+                  ) -> ScenarioSpec:
+    """Load, substitute, override, parse, and validate one scenario file.
 
     ``.toml`` files parse with :mod:`tomllib`; anything else is treated
-    as JSON.  ``env`` defaults to ``os.environ``.
+    as JSON.  ``env`` defaults to ``os.environ``.  ``overrides`` maps
+    dotted paths (:func:`set_path`) to values and is applied, in order,
+    to the raw document before validation — a variant of a shipped
+    experiment is its file plus overrides, never a second definition.
     """
+    source = os.path.basename(path)
     data = load_scenario_data(path, env=env)
-    return parse_scenario(data, source=os.path.basename(path))
+    for key, value in (overrides or {}).items():
+        set_path(data, key, copy.deepcopy(value), source=source)
+    return parse_scenario(data, source=source)
 
 
 def load_scenario_data(path: str,
                        env: Optional[Dict[str, str]] = None
                        ) -> Dict[str, Any]:
-    """The raw (substituted, parsed, *unvalidated*) scenario mapping.
+    """The raw (substituted, parsed, *unvalidated*) document of a file.
 
-    The sweep runner edits this mapping (grid overrides) before
-    validation; everyone else wants :func:`load_scenario`.
+    Sweep files are read through here; scenarios want
+    :func:`load_scenario`.
     """
     source = os.path.basename(path)
     try:

@@ -1,13 +1,11 @@
-"""Checkpoint schedule drivers shared by bench scenarios and the DSL.
+"""Checkpoint schedule drivers of the scenario compiler.
 
 Each driver arms one simulation process that waits until ``start_at_ns``,
 then takes ``count`` checkpoints ``period_ns`` apart, appending each
 result to the returned list.  The scheduling shape (one leading timeout,
 one trailing timeout per period, results appended in completion order)
-is part of the golden-digest contract: the hand-wired figure scenarios
-in :mod:`repro.bench.scenarios` and the DSL-compiled scenarios in
-:mod:`repro.testbed.compile` both run through these exact generators, so
-their digests can be compared bit for bit.
+is part of the golden-digest contract: the stored goldens were captured
+with exactly these generators driving :mod:`repro.testbed.compile`.
 """
 
 from __future__ import annotations
@@ -60,10 +58,10 @@ def supervised_checkpoints(sim: Simulator, supervisor, delay_ns: int,
                            count: int = 1, period_ns: int = 0) -> List:
     """Supervised checkpoints (retry policies) after an initial delay.
 
-    Mirrors the fault-storm drive loop: one leading timeout, then each
-    checkpoint through the supervisor.  Unlike the periodic drivers there
-    is no trailing timeout after the final checkpoint — the storm's
-    golden digests were captured with that exact shape.
+    One leading timeout, then each checkpoint through the supervisor.
+    Unlike the periodic drivers there is no trailing timeout after the
+    final checkpoint — the storm's digests were captured with that
+    exact shape.
     """
     results: List = []
 

@@ -179,11 +179,10 @@ class TimeTravelController:
         providers_fn = getattr(self.active_run, "snapshot_providers", None)
         if providers_fn is None:
             return
-        damaged = getattr(self.snapshots, "is_damaged", None)
         parent_sid: Optional[str] = None
         for ancestor in reversed(self.tree.path_to(node.node_id)[:-1]):
             sid = self.snapshot_ids.get(ancestor.node_id)
-            if sid is None or (damaged is not None and damaged(sid)):
+            if sid is None or self.snapshots.is_damaged(sid):
                 continue                # delta-chain to an intact parent
             parent_sid = sid
             break
@@ -204,11 +203,10 @@ class TimeTravelController:
         resumed across generations can hold leftover ids from a prior
         life (e.g. a damaged on-disk snapshot that was not grafted into
         this session's tree), so suffix until free."""
-        damaged = getattr(self.snapshots, "is_damaged", None)
         sid = f"node{node_id}"
         generation = 0
         while sid in self.snapshots.manifests or \
-                (damaged is not None and damaged(sid)):
+                self.snapshots.is_damaged(sid):
             generation += 1
             sid = f"node{node_id}r{generation}"
         return sid
@@ -227,12 +225,9 @@ class TimeTravelController:
         served by replay anyway — the perturbations themselves died with
         the prior process).
         """
-        resume_fn = getattr(self.snapshots, "resume_manifests", None)
-        manifests = resume_fn() if resume_fn is not None else \
-            [self.snapshots.manifests[sid] for sid in self.snapshots.order]
         sid_to_node: Dict[str, int] = {}
         deepest = root
-        for manifest in manifests:
+        for manifest in self.snapshots.resume_manifests():
             sid = manifest.snapshot_id
             if manifest.parent is None and \
                     manifest.virtual_time_ns == root.virtual_time_ns:
@@ -294,7 +289,6 @@ class TimeTravelController:
         restore_fn = getattr(self.active_run, "restore_from", None)
         if restore_fn is None:
             return None
-        is_damaged = getattr(self.snapshots, "is_damaged", None)
         target_history = tuple(history)
         for ancestor in reversed(self.tree.path_to(node.node_id)):
             sid = self.snapshot_ids.get(ancestor.node_id)
@@ -302,7 +296,7 @@ class TimeTravelController:
                 continue
             if self._snapshot_histories[ancestor.node_id] != target_history:
                 continue
-            if is_damaged is not None and is_damaged(sid):
+            if self.snapshots.is_damaged(sid):
                 # durable store flagged this snapshot unusable during
                 # recovery (broken delta chain) — degrade to the nearest
                 # intact ancestor instead of failing the restore

@@ -35,8 +35,8 @@ from typing import Optional
 from repro.checkpoint.pipeline import Checkpointable, check_payload
 from repro.errors import CheckpointError
 from repro.sim.core import NORMAL, Simulator
-from repro.sim.random import derived_rng, rng_state_from_json, \
-    rng_state_to_json
+from repro.sim.random import derived_rng, decode_rng_state, \
+    encode_rng_state
 from repro.units import MS
 
 
@@ -142,7 +142,7 @@ class TickMachine(Checkpointable):
             armed = [self._armed_at, self._armed_seq]
         return {"name": self.name, "ticks": self.ticks,
                 "digest": self.digest,
-                "rng": rng_state_to_json(self.rng.getstate()),
+                "rng": encode_rng_state(self.rng.getstate()),
                 "armed": armed, "extra": self._extra_state()}
 
     def restore(self, snapshot: dict) -> None:
@@ -156,7 +156,7 @@ class TickMachine(Checkpointable):
                 f"{self.name}: restore requires a freshly built machine")
         self.ticks = snapshot["ticks"]
         self.digest = snapshot["digest"]
-        self.rng.setstate(rng_state_from_json(snapshot["rng"]))
+        self.rng.setstate(decode_rng_state(snapshot["rng"]))
         self._apply_extra(snapshot["extra"])
         if snapshot["armed"] is not None:
             self._armed_at, self._armed_seq = snapshot["armed"]
@@ -299,7 +299,7 @@ class WheelSleeperMachine(Checkpointable):
     def serialize(self) -> dict:
         return {"name": self.name, "ticks": self.ticks,
                 "digest": self.digest,
-                "rng": rng_state_to_json(self.rng.getstate())}
+                "rng": encode_rng_state(self.rng.getstate())}
 
     def restore(self, snapshot: dict) -> None:
         check_payload(self.name, snapshot,
@@ -309,7 +309,7 @@ class WheelSleeperMachine(Checkpointable):
                 f"{self.name}: payload belongs to {snapshot['name']!r}")
         self.ticks = snapshot["ticks"]
         self.digest = snapshot["digest"]
-        self.rng.setstate(rng_state_from_json(snapshot["rng"]))
+        self.rng.setstate(decode_rng_state(snapshot["rng"]))
 
 
 class WheelProvider(Checkpointable):

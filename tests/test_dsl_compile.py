@@ -210,6 +210,38 @@ def test_fault_plan_ms_units():
     assert crash.at_ns is None
 
 
+def test_fault_agents_must_exist_in_the_experiment():
+    with pytest.raises(ScenarioError,
+                       match=r"faults\.crashes\[0\]\.agent: references "
+                             r"unknown agent 'node3'"):
+        parse_scenario(minimal(faults={
+            "crashes": [{"agent": "node3", "stage": "save"}]}))
+    # delay agents count too: one per LAN member, one per shaped link
+    spec = parse_scenario(minimal(
+        nodes=[{"name": "n", "count": 2}],
+        lans=[{"name": "lan0"}],
+        faults={"delay_failures": [{"agent": "lan0.n1", "at_ms": 5}]}))
+    assert spec.fault_plan.delay_failures[0].agent == "lan0.n1"
+
+
+def test_overrides_edit_the_document_before_validation(tmp_path):
+    path = tmp_path / "s.toml"
+    path.write_text(minimal_toml())
+    spec = load_scenario(str(path), overrides={
+        "workloads[0].iterations": 50, "faults": {"seed": 3}})
+    assert spec.workloads[0].param("iterations") == 50
+    assert spec.fault_plan.seed == 3
+    with pytest.raises(ScenarioError, match="out of range"):
+        load_scenario(str(path), overrides={"nodes[2].memory_mb": 1})
+
+
+def test_faults_cli_rejects_unknown_crash_agent(capsys):
+    from repro.__main__ import main
+
+    assert main(["faults", "--nodes", "3"]) == 2
+    assert "faults.crashes[0].agent" in capsys.readouterr().out
+
+
 def test_world_kind():
     spec = parse_scenario({
         "scenario": {"name": "w", "kind": "world"},

@@ -1,19 +1,17 @@
-"""DSL-compiled scenarios must equal their hand-wired twins bit-for-bit.
+"""Shipped scenario files: validation, race cleanliness, world kinds.
 
-The shipped ``examples/scenarios/*.toml`` files describe the same
-experiments as ``run_fig4`` / ``run_ckpt10`` / ``run_faultstorm``; the
-compiler (:mod:`repro.testbed.compile`) must reconstruct the exact
-object graph, so every digest here is an equality between a DSL run and
-a hand-wired run — and, where a golden exists, the stored golden too.
+The files under ``examples/scenarios/`` are the only definition of the
+figure experiments; their digests are gated against the stored goldens
+in ``tests/test_pipeline_equivalence.py``.
 """
 
+import glob
 import json
 import os
 
 import pytest
 
-from repro.bench.scenarios import run_ckpt10, run_fig4
-from repro.sim import Simulator
+from repro.errors import ScenarioError
 from repro.testbed.compile import compile_scenario, run_scenario_file
 from repro.testbed.dsl import load_scenario
 
@@ -30,40 +28,10 @@ def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name)
 
 
-def test_fig4_matches_hand_wired_and_golden():
-    result = run_scenario_file(scenario_path("fig4.toml"), sim=Simulator())
-    hand = run_fig4(Simulator())
-    assert result.digest == hand
-    assert result.digest == GOLDEN["fig4_sleep"]
-    assert result.recipe == "local-parts"
-
-
 def test_fig4_race_detector_clean():
     result = run_scenario_file(scenario_path("fig4.toml"), race=True)
     assert result.races == 0
     assert result.digest == GOLDEN["fig4_sleep"]
-
-
-def test_ckpt10_matches_hand_wired_and_golden():
-    result = run_scenario_file(
-        scenario_path("ckpt10_coordinated.toml"), sim=Simulator())
-    hand = run_ckpt10(Simulator())
-    assert result.digest == hand
-    assert result.digest == GOLDEN["ckpt10_coordinated"]
-    assert result.recipe == "coordinated-parts"
-    assert result.details["checkpoints"] == 1
-
-
-def test_faultstorm_matches_hand_wired_survival_digest():
-    from repro.faults.scenario import run_faultstorm
-
-    result = run_scenario_file(scenario_path("ckpt10_faultstorm.toml"))
-    report = run_faultstorm()
-    assert result.digest == report.digest
-    assert result.recipe == "survival"
-    assert result.details["completed"] is True
-    assert result.details["supervisor_attempts"] == report.attempts
-    assert result.details["injected"] == dict(report.injected)
 
 
 def test_faultstorm_race_detector_clean():
@@ -108,9 +76,27 @@ def test_bench_rejects_broken_file(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["fig4.toml", "ckpt10_coordinated.toml",
-                                  "ckpt10_faultstorm.toml",
-                                  "snapshot_world.toml"])
+def test_world_scenario_rejects_testbed_run_options(capsys):
+    from repro.__main__ import main
+
+    compiled = compile_scenario(
+        load_scenario(scenario_path("snapshot_world.toml")))
+    for option in ({"race": True}, {"tracer": object()},
+                   {"streams": object()}):
+        with pytest.raises(ScenarioError, match="world scenarios"):
+            compiled.run(**option)
+    assert main(["scenario", "--race",
+                 scenario_path("snapshot_world.toml")]) == 2
+    assert "applies only to testbed" in capsys.readouterr().out
+
+
+def _shipped_scenarios():
+    return sorted(os.path.basename(path) for path in glob.glob(
+        os.path.join(SCENARIO_DIR, "*.toml"))
+        if not os.path.basename(path).startswith("sweep"))
+
+
+@pytest.mark.parametrize("name", _shipped_scenarios())
 def test_shipped_scenarios_validate(name):
     spec = load_scenario(scenario_path(name))
     assert spec.name

@@ -7,12 +7,12 @@ from repro.checkpoint import (Coordinator, CheckpointSupervisor,
                               NotificationBus, ProceedWithoutDelayNodes,
                               ReliabilityConfig, RetryThenAbort)
 from repro.faults import FaultInjector, FaultPlan, MessageLoss
-from repro.faults.scenario import default_storm_plan, run_faultstorm
 from repro.hw import Machine
 from repro.net import LinkShape, install_shaped_link
 from repro.clocksync import NTPClient, NTPServer
 from repro.sim import RandomStreams, Simulator
 from repro.obs.trace import Tracer
+from repro.testbed.compile import compile_scenario, load_named
 from repro.units import MB, MBPS, MS, SECOND
 from repro.xen import Hypervisor, LocalCheckpointer
 
@@ -167,26 +167,26 @@ def test_dead_node_agent_is_never_sacrificed_to_degradation():
 
 
 def test_storm_acceptance_three_retries_and_deterministic():
-    """The ISSUE acceptance: 10% bus loss + one crash mid-save completes
-    within <= 3 supervised retries and is digest-identical across runs."""
-    plan = default_storm_plan()
-    first = run_faultstorm(plan=plan)
-    second = run_faultstorm(plan=plan)
-    assert first.completed and second.completed
-    assert first.attempts <= 4              # 1 initial + <= 3 retries
-    assert first.injected["fault.agent.crash"] == 1
-    assert first.injected["fault.bus.drop"] > 0
-    assert first.trace_digest == second.trace_digest
-    assert first.experiment_digest == second.experiment_digest
-    assert first.digest == second.digest
+    """The storm scenario file: 10% bus loss + one crash mid-save
+    completes within <= 3 supervised retries and is digest-identical
+    across runs."""
+    storm = compile_scenario(load_named("ckpt10_faultstorm"))
+    first, second = storm.run().details, storm.run().details
+    assert first["completed"] and second["completed"]
+    assert first["supervisor_attempts"] <= 4  # 1 initial + <= 3 retries
+    assert first["injected"]["fault.agent.crash"] == 1
+    assert first["injected"]["fault.bus.drop"] > 0
+    assert first["experiment_digest"] == second["experiment_digest"]
+    assert first == second
 
 
 def test_storm_report_is_observable_and_fault_free_run_is_quiet():
-    noisy = run_faultstorm()
-    assert noisy.trace_records > 0
-    assert noisy.retransmits > 0
-    quiet = run_faultstorm(plan=FaultPlan())
-    assert quiet.completed
-    assert quiet.attempts == 1
-    assert quiet.injected == {}
-    assert quiet.retransmits == 0
+    noisy = compile_scenario(load_named("ckpt10_faultstorm")).run().details
+    assert noisy["trace_records"] > 0
+    assert noisy["bus"]["retransmits"] > 0
+    quiet = compile_scenario(load_named(
+        "ckpt10_faultstorm", {"faults": {}})).run().details
+    assert quiet["completed"]
+    assert quiet["supervisor_attempts"] == 1
+    assert quiet["injected"] == {}
+    assert quiet["bus"]["retransmits"] == 0

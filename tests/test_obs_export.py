@@ -81,12 +81,13 @@ def test_write_chrome_trace_is_valid_json(tmp_path):
 
 def test_traced_ckpt10_covers_all_stages_on_all_nodes_and_keeps_golden():
     from repro.bench.runner import _golden_pipeline_digests
-    from repro.bench.scenarios import run_ckpt10
     from repro.sim import Simulator
+    from repro.testbed.compile import compile_scenario, load_named
 
     sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
-    digest = run_ckpt10(sim, tracer=tracer)
+    digest = compile_scenario(load_named("ckpt10_coordinated")).run(
+        sim=sim, tracer=tracer).digest
 
     golden = _golden_pipeline_digests().get("ckpt10_coordinated")
     if golden is not None:
@@ -112,12 +113,13 @@ def test_traced_ckpt10_covers_all_stages_on_all_nodes_and_keeps_golden():
 
 
 def test_tracing_on_off_digest_equivalence_fig4():
-    from repro.bench.scenarios import run_fig4
     from repro.sim import Simulator
+    from repro.testbed.compile import compile_scenario, load_named
 
-    plain = run_fig4(Simulator())
+    fig4 = compile_scenario(load_named("fig4_sleep"))
+    plain = fig4.run().digest
     sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now)
-    traced = run_fig4(sim, tracer=tracer)
+    traced = fig4.run(sim=sim, tracer=tracer).digest
     assert plain == traced
     assert tracer.count("checkpoint.stage") == 21    # 3 ckpts x 7 stages

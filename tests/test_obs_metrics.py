@@ -105,18 +105,20 @@ def test_bus_counters_are_registry_backed():
 
 
 def test_faultstorm_report_carries_control_plane_snapshot():
-    from repro.faults.scenario import run_faultstorm
+    from repro.testbed.compile import compile_scenario, load_named
 
-    report = run_faultstorm(run_seconds=20)
-    assert report.completed
-    counters = report.metrics["counters"]
+    details = compile_scenario(load_named(
+        "ckpt10_faultstorm", {"run.seconds": 20})).run().details
+    assert details["completed"]
+    metrics = details["metrics"]
+    counters = metrics["counters"]
     assert counters["bus.published"] > 0
     # Supervisor and injector metrics land in the same registry.
     assert any(k.startswith("supervisor.attempts") for k in counters)
     assert any(k.startswith("fault.") for k in counters)
     # Pull probes covered the hot paths without touching them per packet.
-    gauges = report.metrics["gauges"]
+    gauges = metrics["gauges"]
     assert any(k.startswith("pipe.delivered") for k in gauges)
     assert any(k.startswith("branch.log_appends") for k in gauges)
-    blob = json.dumps(report.metrics, sort_keys=True)
-    assert json.loads(blob) == report.metrics
+    blob = json.dumps(metrics, sort_keys=True)
+    assert json.loads(blob) == metrics

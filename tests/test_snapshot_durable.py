@@ -383,3 +383,44 @@ def test_resume_on_clean_store_skips_completed_steps(tmp_path):
     again = run_durable("fig4", root, steps=3, fsync=False, resume=True)
     assert again["digest"] == finished["digest"]
     assert again["committed"] == finished["committed"]  # nothing re-taken
+
+
+# -- the `repro snapshot` CLI over the durable directory -----------------------
+
+
+def test_snapshot_cli_inspects_diffs_and_restores_durable_store(tmp_path,
+                                                                capsys):
+    from repro.__main__ import main
+
+    root = str(tmp_path / "store")
+    assert main(["snapshot", "run", "--durable", root, "--no-fsync",
+                 "--checkpoints", "2", "--interval-ms", "40"]) == 0
+    assert main(["snapshot", "inspect", "--durable", root]) == 0
+    assert main(["snapshot", "diff", "--durable", root, "--id", "node1",
+                 "--against", "node2"]) == 0
+    assert main(["snapshot", "restore", "--durable", root, "--id",
+                 "node2", "--verify"]) == 0
+    assert "replay cross-check: OK" in capsys.readouterr().out
+    # a world that does not match fails the restore's registry check
+    assert main(["snapshot", "restore", "--durable", root, "--id",
+                 "node2", "--world", "fig8"]) == 1
+    assert "provider registry mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["inspect", "--id", "cp9"], "unknown snapshot 'cp9'"),
+    (["diff", "--id", "node1"], "diff needs --id and --against"),
+    (["diff", "--id", "node1", "--against", "cp9"],
+     "unknown snapshot 'cp9'"),
+    (["restore", "--id", "cp9"], "unknown snapshot 'cp9'"),
+])
+def test_snapshot_cli_bad_ids_exit_1_with_a_message(tmp_path, capsys, argv,
+                                                    message):
+    from repro.__main__ import main
+
+    root = str(tmp_path / "store")
+    assert main(["snapshot", "run", "--durable", root, "--no-fsync",
+                 "--checkpoints", "1", "--interval-ms", "40"]) == 0
+    capsys.readouterr()
+    assert main(["snapshot", *argv, "--durable", root]) == 1
+    assert message in capsys.readouterr().out

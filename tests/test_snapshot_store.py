@@ -103,45 +103,6 @@ def test_restore_applies_payloads_in_registry_order():
     assert (a.restored, b.restored) == (1, 1)
 
 
-def test_save_load_roundtrip(tmp_path):
-    store = SnapshotStore()
-    store.take("s1", [BigCounter("big", n=0)], virtual_time_ns=5,
-               label="persisted")
-    path = tmp_path / "snaps.json"
-    store.save(str(path))
-    loaded = SnapshotStore.load(str(path))
-    assert loaded.order == ["s1"]
-    assert loaded.manifest("s1").label == "persisted"
-    assert loaded.materialize("s1") == store.materialize("s1")
-
-
-def test_save_is_atomic_and_leaves_no_temp_file(tmp_path):
-    store = SnapshotStore()
-    store.take("s1", [Counter("a", x=1)], virtual_time_ns=0)
-    path = tmp_path / "snaps.json"
-    store.save(str(path))
-    first = path.read_bytes()
-    store.take("s2", [Counter("a", x=2)], virtual_time_ns=1, parent="s1")
-    store.save(str(path))                  # overwrite goes via os.replace
-    assert path.read_bytes() != first
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["snaps.json"]
-    assert SnapshotStore.load(str(path)).order == ["s1", "s2"]
-
-
-@pytest.mark.parametrize("blob", [b"", b"{\"format\": 1, \"snapsho",
-                                  b"\x00\xff garbage \x00"])
-def test_load_rejects_truncated_or_garbage_file(tmp_path, blob):
-    path = tmp_path / "torn.json"
-    path.write_bytes(blob)
-    with pytest.raises(SnapshotError, match="unreadable store file"):
-        SnapshotStore.load(str(path))
-
-
-def test_load_wraps_missing_file_in_snapshot_error(tmp_path):
-    with pytest.raises(SnapshotError, match="cannot read store file"):
-        SnapshotStore.load(str(tmp_path / "never-written.json"))
-
-
 # -- strict rejection: never restore partial or reinterpreted state -------------
 
 
@@ -166,11 +127,12 @@ def test_truncated_manifest_rejected():
 
 def test_unsupported_manifest_format_rejected():
     data = SnapshotStore()
-    data.take("s1", [Counter("a", x=1)], virtual_time_ns=0)
-    blob = data.to_json()
+    manifest = data.take("s1", [Counter("a", x=1)], virtual_time_ns=0)
+    blob = manifest.to_dict()
+    assert SnapshotManifest.from_dict(blob) == manifest
     blob["format"] = MANIFEST_FORMAT + 1
-    with pytest.raises(SnapshotError):
-        SnapshotStore.from_json(blob)
+    with pytest.raises(SnapshotError, match="unsupported"):
+        SnapshotManifest.from_dict(blob)
 
 
 def test_schema_version_skew_rejected_without_touching_state():

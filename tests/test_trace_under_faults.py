@@ -1,19 +1,31 @@
 """Satellite acceptance: full tracing under the fault storm.
 
-The ckpt10 fault storm runs with tracing fully enabled into a bounded
-ring sink.  The timeline must stay well-formed (spans nest per track,
+The ckpt10 fault storm (``examples/scenarios/ckpt10_faultstorm.toml``,
+shortened to 20 s) runs with tracing fully enabled into a bounded ring
+sink.  The timeline must stay well-formed (spans nest per track,
 fault windows and retransmit bursts open *and* close), and attaching the
 sink must not move the run's deterministic digests by a single bit.
 """
 
-from repro.faults.scenario import run_faultstorm, trace_digest
-from repro.obs import RingSink, SpanRecord, verify_span_nesting
+from repro.analysis.digest import trace_digest
+from repro.obs import RingSink, SpanRecord, Tracer, verify_span_nesting
+from repro.sim import Simulator
+from repro.testbed.compile import compile_scenario, load_named
+
+
+def run_storm(sink=None):
+    """The fault storm over 20 s, traced into ``sink`` (default: list)."""
+    sim = Simulator()
+    tracer = Tracer(clock=lambda: sim.now, sink=sink)
+    return compile_scenario(load_named(
+        "ckpt10_faultstorm", {"run.seconds": 20})).run(sim=sim,
+                                                       tracer=tracer)
 
 
 def test_faultstorm_traced_timeline_is_well_formed_and_deterministic():
     sink = RingSink(capacity=100_000)
-    first = run_faultstorm(run_seconds=20, sink=sink)
-    assert first.completed
+    first = run_storm(sink)
+    assert first.details["completed"]
 
     records = list(sink.records)
     assert sink.evicted == 0 and records
@@ -42,7 +54,7 @@ def test_faultstorm_traced_timeline_is_well_formed_and_deterministic():
 
     # Identical storm, identical sink: bit-identical trace + state.
     second_sink = RingSink(capacity=100_000)
-    second = run_faultstorm(run_seconds=20, sink=second_sink)
+    second = run_storm(second_sink)
     assert first.digest == second.digest
     assert trace_digest(sink.records) == trace_digest(second_sink.records)
 
@@ -51,12 +63,11 @@ def test_ring_sink_does_not_perturb_the_run_itself():
     # Same storm, different sinks: everything except the trace retention
     # (experiment digest, attempts, injected faults) must be identical —
     # the sink choice can never feed back into the simulation.
-    bounded = run_faultstorm(run_seconds=20, sink=RingSink(capacity=64))
-    unbounded = run_faultstorm(run_seconds=20)
-    assert bounded.experiment_digest == unbounded.experiment_digest
-    assert bounded.attempts == unbounded.attempts
-    assert bounded.injected == unbounded.injected
-    assert bounded.metrics == unbounded.metrics
+    bounded = run_storm(RingSink(capacity=64)).details
+    unbounded = run_storm().details
+    for key in ("experiment_digest", "supervisor_attempts", "injected",
+                "metrics"):
+        assert bounded[key] == unbounded[key], key
 
 
 def test_span_stage_records_preserve_analysis_summary():
@@ -64,8 +75,8 @@ def test_span_stage_records_preserve_analysis_summary():
     from repro.obs import ListSink
 
     sink = ListSink()
-    report = run_faultstorm(run_seconds=20, sink=sink)
-    assert report.completed
+    report = run_storm(sink)
+    assert report.details["completed"]
     stage_records = [r for r in sink.records
                      if r.category == "checkpoint.stage"]
     summary = stage_timing_summary(stage_records)
