@@ -2,15 +2,13 @@
 
 from repro.checkpoint.bus import (Barrier, BusMessage, NotificationBus,
                                   ReliabilityConfig)
-from repro.checkpoint.pipeline import (AgentFailure, BoundedSkewRetrySuspend,
-                                       BranchProvider, Checkpointable,
-                                       CheckpointFailure, CheckpointPipeline,
-                                       ClockHandoff, ClockProvider,
-                                       DeadlineSuspend, DelayNodeProvider,
-                                       DomainProvider, ImmediateSuspend,
-                                       NaiveDomainProvider, SnapshotCapture,
-                                       Stage, StageFailed, StageTiming,
-                                       SuspendPolicy, capture_run_snapshot)
+from repro.checkpoint.pipeline import (AgentFailure, BranchProvider,
+                                       Checkpointable, CheckpointFailure,
+                                       CheckpointPipeline, ClockHandoff,
+                                       ClockProvider, DelayNodeProvider,
+                                       DomainProvider, NaiveDomainProvider,
+                                       SnapshotCapture, Stage, StageFailed,
+                                       StageTiming, capture_run_snapshot)
 from repro.checkpoint.coordinator import (CoordinatedResult, Coordinator,
                                           DelayNodeAgent, NodeAgent)
 from repro.checkpoint.supervisor import (CheckpointSupervisor,
@@ -23,16 +21,15 @@ from repro.checkpoint.durable import (CRASH_POINTS, DurableSnapshotStore,
                                       FsckReport, SAVE_CRASH_POINTS)
 
 __all__ = [
-    "AgentFailure", "Barrier", "BoundedSkewRetrySuspend", "BranchProvider",
-    "BusMessage", "CRASH_POINTS", "Checkpointable", "CheckpointFailure",
+    "AgentFailure", "Barrier", "BranchProvider", "BusMessage",
+    "CRASH_POINTS", "Checkpointable", "CheckpointFailure",
     "CheckpointPipeline", "CheckpointSupervisor", "ClockHandoff",
-    "ClockProvider", "CoordinatedResult", "Coordinator", "DeadlineSuspend",
+    "ClockProvider", "CoordinatedResult", "Coordinator",
     "DegradationPolicy", "DelayNodeAgent", "DelayNodeProvider",
     "DomainProvider", "DurableSnapshotStore", "FailFast", "FsckReport",
-    "ImmediateSuspend", "NaiveCheckpointer", "NaiveDomainProvider",
-    "NodeAgent", "NotificationBus", "ProceedWithoutDelayNodes",
-    "ReliabilityConfig", "RemusCheckpointer", "RetryDecision",
-    "RetryThenAbort", "SAVE_CRASH_POINTS", "SnapshotCapture", "Stage",
-    "StageFailed", "StageTiming", "SuspendPolicy", "UncoordinatedRunner",
-    "capture_run_snapshot",
+    "NaiveCheckpointer", "NaiveDomainProvider", "NodeAgent",
+    "NotificationBus", "ProceedWithoutDelayNodes", "ReliabilityConfig",
+    "RemusCheckpointer", "RetryDecision", "RetryThenAbort",
+    "SAVE_CRASH_POINTS", "SnapshotCapture", "Stage", "StageFailed",
+    "StageTiming", "UncoordinatedRunner", "capture_run_snapshot",
 ]

@@ -6,9 +6,10 @@ checkpoint — what differs is only which providers participate and how
 the stages are scheduled:
 
 * :class:`NaiveCheckpointer` — suspends execution but **not time** (a
-  :class:`~repro.checkpoint.pipeline.NaiveDomainProvider`: no temporal
-  firewall).  The guest observes the downtime: sleeping loops see giant
-  iterations, expired TCP retransmit timers fire on resume.
+  :class:`~repro.checkpoint.pipeline.NaiveDomainProvider`: the domain
+  provider without its temporal firewall).  The guest observes the
+  downtime: sleeping loops see giant iterations, expired TCP retransmit
+  timers fire on resume.
 * :class:`UncoordinatedRunner` — every node runs its own full local
   pipeline on its own schedule (no clock-synchronized trigger, no
   delay-node capture).  While one node is down its peers keep running:

@@ -10,11 +10,10 @@ the notification bus:
    to pre-copy).  Each replies ``ready``.
 2. ``suspend_at T`` — the coordinator picks a wall-clock deadline ``T``
    (its own NTP-disciplined clock plus a margin) and publishes it.  Each
-   agent's :class:`~repro.checkpoint.pipeline.SuspendPolicy` arms a local
-   timer against its *own* disciplined clock, so the realized suspend
-   skew equals the residual clock-synchronization error — the paper's
-   transparency bound.  (``checkpoint_now`` instead suspends on message
-   receipt: skew = control-network delivery jitter.)
+   agent arms a one-shot timer against its *own* disciplined clock, so
+   the realized suspend skew equals the residual clock-synchronization
+   error — the paper's transparency bound.  (``checkpoint_now`` instead
+   suspends on message receipt: skew = control-network delivery jitter.)
 3. Agents run ``quiesce → suspend → save → branch`` and report
    ``saved``; the coordinator's barrier waits for all of them.
 4. ``resume`` — all agents thaw on receipt, so resume skew is again one
@@ -39,9 +38,8 @@ from typing import Dict, List, Optional
 from repro.checkpoint.bus import Barrier, BusMessage, NotificationBus
 from repro.checkpoint.pipeline import (AgentFailure, BranchProvider,
                                        CheckpointFailure, CheckpointPipeline,
-                                       ClockProvider, DeadlineSuspend,
-                                       DelayNodeProvider, DomainProvider,
-                                       Stage, StageFailed, SuspendPolicy)
+                                       ClockProvider, DelayNodeProvider,
+                                       Stage, StageFailed)
 from repro.clocksync.clock import SystemClock
 from repro.errors import CheckpointError, FirewallViolation, StorageError
 from repro.net.delaynode import DelayNode, DelayNodeSnapshot
@@ -55,21 +53,19 @@ class _PipelineAgent:
     """Bus plumbing shared by node and delay-node agents.
 
     Subclasses own a :class:`CheckpointPipeline`; this base wires the
-    session topics, arms the suspend policy, and routes stage failures
-    into structured ``failed`` reports instead of letting a
-    :class:`CheckpointError` escape a bus callback into the simulator
-    loop.
+    session topics, arms the suspend deadline, runs the suspend span, and
+    routes stage failures into structured ``failed`` reports instead of
+    letting a :class:`CheckpointError` escape a bus callback into the
+    simulator loop.
     """
 
     def __init__(self, sim: Simulator, name: str, clock: SystemClock,
-                 bus: NotificationBus, session: str,
-                 policy: Optional[SuspendPolicy]) -> None:
+                 bus: NotificationBus, session: str) -> None:
         self.sim = sim
         self.name = name
         self.clock = clock
         self.bus = bus
         self.session = session
-        self.policy = policy or DeadlineSuspend()
         self.last_failure: Optional[AgentFailure] = None
         self._suspend_arm = None
         self._aborting = False
@@ -191,13 +187,29 @@ class _PipelineAgent:
             self._suspend_arm = None
             self.sim.process(self._suspend())
 
-        self._suspend_arm = self.policy.arm(self.sim, self.clock,
-                                            deadline, fire)
+        # A one-shot timer against the disciplined clock: the realized
+        # suspend skew is the residual clock error at arming time (§4.3).
+        self._suspend_arm = self.sim.call_in(
+            self.clock.ns_until_local(deadline), fire)
 
     def _on_now(self, msg: BusMessage) -> None:
         if self._detached or self._stale(msg):
             return
         self.sim.process(self._suspend())
+
+    # -- round 3: suspend/save/branch -----------------------------------------
+
+    def _suspend(self):
+        if self._aborting:
+            return
+        try:
+            yield from self.pipeline.run_stages(Stage.QUIESCE, Stage.BRANCH)
+        except CheckpointError as exc:
+            self._report_failure(Stage.SAVE.value, exc)
+            return
+        if self._aborting:
+            return
+        self._publish("saved", self._reply())
 
     # -- abort round ----------------------------------------------------------
 
@@ -223,9 +235,6 @@ class _PipelineAgent:
     def _prepare_impl(self) -> None:
         raise NotImplementedError
 
-    def _suspend(self):
-        raise NotImplementedError
-
     def _on_resume(self, _msg: BusMessage) -> None:
         raise NotImplementedError
 
@@ -233,20 +242,19 @@ class _PipelineAgent:
 class NodeAgent(_PipelineAgent):
     """Checkpoint agent running in dom0 of one experiment node.
 
-    Drives the staged pipeline over a :class:`DomainProvider` plus any
-    ``extra_providers`` (branching storage, clock hand-off) between the
-    coordinator's bus rounds.
+    Drives the staged pipeline over the checkpointer's domain provider
+    plus any ``extra_providers`` (branching storage, clock hand-off)
+    between the coordinator's bus rounds.
     """
 
     def __init__(self, sim: Simulator, name: str,
                  checkpointer: LocalCheckpointer, clock: SystemClock,
                  bus: NotificationBus, session: str = "ckpt",
-                 policy: Optional[SuspendPolicy] = None,
                  tracer: Optional[Tracer] = None,
                  extra_providers=()) -> None:
-        super().__init__(sim, name, clock, bus, session, policy)
+        super().__init__(sim, name, clock, bus, session)
         self.checkpointer = checkpointer
-        self.provider = DomainProvider(checkpointer)
+        self.provider = checkpointer.provider
         self.pipeline = CheckpointPipeline(
             sim, [self.provider, *extra_providers], tracer=tracer,
             session=f"{session}/{name}")
@@ -267,20 +275,6 @@ class NodeAgent(_PipelineAgent):
             return
         self._publish("ready", self._reply())
 
-    # -- round 3: suspend/save/branch -----------------------------------------
-
-    def _suspend(self):
-        if self._aborting:
-            return
-        try:
-            yield from self.pipeline.run_stages(Stage.QUIESCE, Stage.BRANCH)
-        except CheckpointError as exc:
-            self._report_failure(Stage.SAVE.value, exc)
-            return
-        if self._aborting:
-            return
-        self._publish("saved", self._reply())
-
     # -- round 4: resume ------------------------------------------------------
 
     def _on_resume(self, msg: BusMessage) -> None:
@@ -300,6 +294,7 @@ class NodeAgent(_PipelineAgent):
             self._report_failure(Stage.RESUME.value, exc)
             return
         self.last_result = self.provider.last_result
+        self.checkpointer.results.append(self.last_result)
         self._publish("resumed", self._reply())
 
     # -- metrics --------------------------------------------------------------
@@ -338,9 +333,8 @@ class DelayNodeAgent(_PipelineAgent):
     def __init__(self, sim: Simulator, name: str, delay_node: DelayNode,
                  clock: SystemClock, bus: NotificationBus,
                  session: str = "ckpt",
-                 policy: Optional[SuspendPolicy] = None,
                  tracer: Optional[Tracer] = None) -> None:
-        super().__init__(sim, name, clock, bus, session, policy)
+        super().__init__(sim, name, clock, bus, session)
         self.delay_node = delay_node
         self.provider = DelayNodeProvider(
             delay_node, serialize_cost_ns=self.SERIALIZE_COST_NS)
@@ -353,18 +347,6 @@ class DelayNodeAgent(_PipelineAgent):
         # synchronously and the ack goes out in the same callback.
         self.pipeline.run_stages_now(Stage.PREPARE, Stage.PRECOPY)
         self._publish("ready", self._reply())
-
-    def _suspend(self):
-        if self._aborting:
-            return
-        try:
-            yield from self.pipeline.run_stages(Stage.QUIESCE, Stage.BRANCH)
-        except CheckpointError as exc:
-            self._report_failure(Stage.SAVE.value, exc)
-            return
-        if self._aborting:
-            return
-        self._publish("saved", self._reply())
 
     def _on_resume(self, msg: BusMessage) -> None:
         if self._detached or self._stale(msg):

@@ -21,11 +21,7 @@ cross-cutting semantics the old monoliths could not express:
   stage timelines (see :mod:`repro.obs.export`);
 * **rollback** — :meth:`CheckpointPipeline.abort` walks providers in
   reverse registration order, returning every subsystem to running state
-  (the second phase of the coordinator's two-phase abort);
-* **suspend policies** — the "when do I fire my suspend timer" decision
-  (:class:`DeadlineSuspend`, :class:`ImmediateSuspend`,
-  :class:`BoundedSkewRetrySuspend`) is pluggable instead of hard-coded
-  in the node agent.
+  (the second phase of the coordinator's two-phase abort).
 
 Stage hooks may be plain methods (zero simulated time) or generators
 (driven inside a sim process); the engine accepts both, so metadata-only
@@ -35,13 +31,16 @@ stages like ``branch`` cost nothing and cannot perturb event order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import itertools
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError, FirewallViolation, StorageError
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.sim.core import Simulator
-from repro.units import MS, US, transfer_time_ns
+from repro.units import US, transfer_time_ns
+from repro.xen.checkpoint import (CheckpointConfig, CheckpointResult,
+                                  DomainSnapshot)
 
 
 class Stage(enum.Enum):
@@ -376,90 +375,10 @@ class CheckpointPipeline:
         return sum(p.snapshot_cost_bytes() for p in self.providers)
 
 
-# ---------------------------------------------------------------------- policies
-
-class SuspendPolicy:
-    """Decides when an agent's suspend span fires after ``suspend_at T``."""
-
-    def arm(self, sim: Simulator, clock, deadline_local_ns: int,
-            fire: Callable[[], None]):
-        """Schedule ``fire``; returns a cancellable handle or ``None``."""
-        raise NotImplementedError
-
-
-class DeadlineSuspend(SuspendPolicy):
-    """The paper's design: one-shot timer against the disciplined clock.
-
-    Realized suspend skew equals the residual clock-synchronization
-    error at arming time — the transparency bound of §4.3.
-    """
-
-    def arm(self, sim, clock, deadline_local_ns, fire):
-        return sim.call_in(clock.ns_until_local(deadline_local_ns), fire)
-
-
-class ImmediateSuspend(SuspendPolicy):
-    """Suspend on message receipt: skew = bus delivery jitter.
-
-        >>> fired = []
-        >>> ImmediateSuspend().arm(None, None, 0, lambda: fired.append("now"))
-        >>> fired
-        ['now']
-    """
-
-    def arm(self, sim, clock, deadline_local_ns, fire):
-        fire()
-        return None
-
-
-class _RetryArm:
-    """Cancellable handle over a chain of re-check timers."""
-
-    def __init__(self) -> None:
-        self.handle = None
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self.handle is not None:
-            self.handle.cancel()
-            self.handle = None
-
-
-class BoundedSkewRetrySuspend(SuspendPolicy):
-    """Sleep-most-of-the-way, then re-read the clock and re-arm.
-
-    A one-shot timer armed far from the deadline realizes the *arming
-    time's* clock error as suspend skew; while the timer sleeps, NTP
-    keeps disciplining the clock.  This policy sleeps roughly half the
-    remaining interval, re-reads the clock, and only arms the final
-    one-shot once the remainder is below ``slice_ns`` — bounding the
-    realized skew by the clock error at the last re-read.
-    """
-
-    def __init__(self, slice_ns: int = 50 * MS,
-                 min_sleep_ns: int = 1 * MS) -> None:
-        self.slice_ns = slice_ns
-        self.min_sleep_ns = min_sleep_ns
-
-    def arm(self, sim, clock, deadline_local_ns, fire):
-        arm = _RetryArm()
-
-        def check() -> None:
-            if arm.cancelled:
-                return
-            remaining = clock.ns_until_local(deadline_local_ns)
-            if remaining <= self.slice_ns:
-                arm.handle = sim.call_in(remaining, fire)
-                return
-            arm.handle = sim.call_in(max(self.min_sleep_ns, remaining // 2),
-                                     check)
-
-        check()
-        return arm
-
-
 # ---------------------------------------------------------------------- providers
+
+_snapshot_ids = itertools.count(1)
+
 
 def check_payload(name: str, snapshot: dict, keys: Tuple[str, ...]) -> None:
     """Reject a payload whose key set is not exactly ``keys``.
@@ -485,76 +404,149 @@ def check_payload(name: str, snapshot: dict, keys: Tuple[str, ...]) -> None:
 class DomainProvider(Checkpointable):
     """A guest domain behind a temporal firewall (§4.1–4.2).
 
-    Wraps a :class:`~repro.xen.checkpoint.LocalCheckpointer`, exposing
-    its phase generators as pipeline stages.  The stage composition is
-    byte-identical to the old monolithic ``run()`` sequence.
+    The Xen live checkpoint's phases: pre-copy memory while the guest runs,
+    disconnect devices, raise the temporal firewall, stop-and-copy the
+    dirty residue, then lower the firewall and reconnect devices.  Every
+    domain checkpoint drives this one provider through a pipeline — the
+    local checkpointer, the coordinated node agent and stateful swap —
+    and ``resume`` leaves its :class:`~repro.xen.checkpoint.CheckpointResult`
+    in :attr:`last_result`.
     """
 
-    def __init__(self, checkpointer) -> None:
-        self.checkpointer = checkpointer
-        self.name = f"domain.{checkpointer.domain.name}"
-        self.last_result = None
+    def __init__(self, domain, config: CheckpointConfig) -> None:
+        self.domain = domain
+        self.config = config
+        self.sim = domain.sim
+        self.name = f"domain.{domain.name}"
+        #: stage of the checkpoint in flight on this domain (None: running)
+        self.in_flight: Optional[Stage] = None
+        #: ``(snapshot, dirty_bytes)`` written by ``save``, until ``resume``
+        self.saved: Optional[Tuple[DomainSnapshot, int]] = None
+        self.last_result: Optional[CheckpointResult] = None
         self._started = 0
         self._precopy = (0, 0)
-        self._saved = None
 
     def snapshot_cost_bytes(self) -> int:
-        return self.checkpointer.domain.memory_bytes
+        return self.domain.memory_bytes
 
     def stage_prepare(self):
-        self._started = self.checkpointer.sim.now
-        self._saved = None
+        self.in_flight = Stage.PREPARE
+        self._started = self.sim.now
+        self.saved = None
 
     def stage_precopy(self):
-        self._precopy = yield from self.checkpointer.precopy()
+        """Live pre-copy while the guest runs.
+
+        dom0 walks and copies all of memory; the copy work shares the CPU
+        at ``dom0_weight``, which is the only guest-visible cost of a live
+        checkpoint (the perturbation Figure 5 measures).
+        """
+        self.in_flight = Stage.PRECOPY
+        cfg, domain = self.config, self.domain
+        started = self.sim.now
+        memory_copied = 0
+        if cfg.live:
+            duration = transfer_time_ns(domain.memory_bytes, cfg.copy_rate_bps)
+            share = cfg.dom0_weight / (1.0 + cfg.dom0_weight)
+            copy_cpu_work = int(duration * share)
+            if copy_cpu_work > 0:
+                domain.kernel.cpu_outside(copy_cpu_work,
+                                          weight=cfg.dom0_weight)
+            yield self.sim.timeout(duration)
+            memory_copied = domain.memory_bytes
+        self._precopy = (memory_copied, self.sim.now - started)
 
     def stage_quiesce(self):
-        return self.checkpointer.quiesce()
+        """Stop I/O: disconnect NICs, drain block devices."""
+        self.in_flight = Stage.QUIESCE
+        for nic in self.domain.nics:
+            nic.suspend()
+        for vbd in self.domain.vbds:
+            yield from vbd.suspend_after_drain()
 
     def stage_suspend(self):
-        return self.checkpointer.suspend()
+        """Raise the temporal firewall; guest execution and time stop."""
+        self.in_flight = Stage.SUSPEND
+        return self.domain.kernel.firewall.raise_sequence()
 
     def stage_save(self):
-        self._saved = yield from self.checkpointer.save()
+        """Stop-and-copy the dirty residue + device state.
+
+        This is the checkpoint's true downtime; the guest cannot observe
+        it.  Leaves ``(snapshot, dirty_bytes)`` in :attr:`saved`.
+        """
+        self.in_flight = Stage.SAVE
+        cfg, domain = self.config, self.domain
+        dirty = (int(domain.memory_bytes * cfg.dirty_fraction)
+                 if cfg.live else domain.memory_bytes)
+        yield self.sim.timeout(transfer_time_ns(max(1, dirty),
+                                                cfg.copy_rate_bps))
+        yield self.sim.timeout(cfg.device_overhead_ns)
+        snapshot = DomainSnapshot(
+            snapshot_id=next(_snapshot_ids),
+            domain_name=domain.name,
+            memory_bytes=domain.memory_bytes,
+            taken_at_true_ns=self.sim.now,
+            taken_at_virtual_ns=domain.kernel.vclock.now(),
+        )
+        self.saved = (snapshot, dirty)
 
     def stage_resume(self):
-        if self._saved is None:
+        """Lower the firewall, reconnect devices, replay the NIC rings."""
+        if self.saved is None:
             raise CheckpointError(f"{self.name}: resume before save")
-        snapshot, dirty = self._saved
+        self.in_flight = Stage.RESUME
+        firewall = self.domain.kernel.firewall
+        yield from firewall.lower_sequence()
+        replayed = self._resume_devices()
+        snapshot, dirty = self.saved
         memory_copied, precopy_ns = self._precopy
-        result = yield from self.checkpointer.resume(
-            self._started, precopy_ns, memory_copied, snapshot, dirty)
-        self.checkpointer.results.append(result)
-        self.last_result = result
-        self._saved = None
+        self.last_result = CheckpointResult(
+            snapshot=snapshot,
+            started_at_ns=self._started,
+            precopy_ns=precopy_ns,
+            downtime_ns=(firewall.last_clock_thawed_at_ns
+                         - firewall.last_clock_frozen_at_ns),
+            freeze_window_ns=firewall.last_freeze_window_ns,
+            thaw_window_ns=firewall.last_thaw_window_ns,
+            clock_frozen_at_ns=firewall.last_clock_frozen_at_ns,
+            clock_thawed_at_ns=firewall.last_clock_thawed_at_ns,
+            memory_copied_bytes=memory_copied + dirty,
+            dirty_copied_bytes=dirty,
+            replayed_packets=replayed,
+        )
+        self.saved = None
+        self.in_flight = None
 
     def stage_abort(self):
-        domain = self.checkpointer.domain
-        kernel = domain.kernel
-        if kernel.firewall.up:
-            yield from kernel.firewall.lower_sequence()
-        for vbd in domain.vbds:
+        firewall = self.domain.kernel.firewall
+        if firewall.up:
+            yield from firewall.lower_sequence()
+        self._resume_devices()
+        self.saved = None
+        self.in_flight = None
+
+    def _resume_devices(self) -> int:
+        """Reconnect suspended devices; returns the NIC packets replayed."""
+        for vbd in self.domain.vbds:
             if vbd.suspended:
                 vbd.resume()
-        for nic in domain.nics:
-            if nic.suspended:
-                nic.resume()
-        self._saved = None
+        return sum(nic.resume() for nic in self.domain.nics if nic.suspended)
 
     def serialize(self) -> dict:
-        if self._saved is not None:
+        if self.in_flight is not None:
             raise CheckpointError(
-                f"{self.name}: serialize mid-pipeline (save completed but "
-                f"resume has not run); snapshots are taken at quiescent "
-                f"instants only")
+                f"{self.name}: serialize mid-checkpoint (stage "
+                f"{self.in_flight.value}); snapshots are taken at "
+                f"quiescent instants only")
         return {"started": self._started, "precopy": list(self._precopy)}
 
     def restore(self, snapshot: dict) -> None:
         check_payload(self.name, snapshot, ("started", "precopy"))
         self._started = snapshot["started"]
         self._precopy = tuple(snapshot["precopy"])
-        self._saved = None
-
+        self.saved = None
+        self.in_flight = None
 
 class DelayNodeProvider(Checkpointable):
     """A Dummynet delay node: freeze pipes, serialize, thaw (§4.4)."""
@@ -733,94 +725,54 @@ class ClockProvider(Checkpointable):
         self.last_handoff = None
 
 
-class NaiveDomainProvider(Checkpointable):
+class NaiveDomainProvider(DomainProvider):
     """The §3 baseline: suspends execution but **not** time.
 
-    Same stage order and downtime as :class:`DomainProvider`, but no
-    temporal firewall — the virtual clock and guest TSC keep running, so
-    the guest observably jumps ``downtime`` into its own future.
+    Pre-copy, quiesce and save are :class:`DomainProvider`'s, so the
+    downtime and device handling are the same; only the stop and restart
+    differ.  There is no temporal firewall — the virtual clock and guest
+    TSC keep running, so the guest observably jumps ``downtime`` into its
+    own future.
     """
 
-    def __init__(self, domain, config) -> None:
-        self.domain = domain
-        self.config = config
-        self.sim = domain.sim
+    def __init__(self, domain, config: CheckpointConfig) -> None:
+        super().__init__(domain, config)
         self.name = f"naive.{domain.name}"
         self.last_downtime_ns = 0
         self.last_replayed = 0
         self._suspended_at = 0
-        self._stopped = False
-
-    def snapshot_cost_bytes(self) -> int:
-        return self.domain.memory_bytes
-
-    def stage_precopy(self):
-        cfg, domain = self.config, self.domain
-        if cfg.live:
-            duration = transfer_time_ns(domain.memory_bytes,
-                                        cfg.copy_rate_bps)
-            share = cfg.dom0_weight / (1.0 + cfg.dom0_weight)
-            domain.kernel.cpu_outside(int(duration * share),
-                                      weight=cfg.dom0_weight)
-            yield self.sim.timeout(duration)
-
-    def stage_quiesce(self):
-        for nic in self.domain.nics:
-            nic.suspend()
-        for vbd in self.domain.vbds:
-            yield from vbd.suspend_after_drain()
 
     def stage_suspend(self):
+        self.in_flight = Stage.SUSPEND
         kernel = self.domain.kernel
         kernel.stop_user_execution()
         kernel.stop_kernel_execution()
         kernel.timers.freeze()
         self._suspended_at = self.sim.now
-        self._stopped = True
-
-    def stage_save(self):
-        cfg, domain = self.config, self.domain
-        dirty = (int(domain.memory_bytes * cfg.dirty_fraction)
-                 if cfg.live else domain.memory_bytes)
-        yield self.sim.timeout(transfer_time_ns(max(1, dirty),
-                                                cfg.copy_rate_bps))
-        yield self.sim.timeout(cfg.device_overhead_ns)
 
     def stage_resume(self):
-        kernel = self.domain.kernel
+        self.in_flight = Stage.RESUME
         self.last_downtime_ns = self.sim.now - self._suspended_at
         # The virtual clock never froze: expired timers fire immediately,
         # and guest time has visibly jumped.
+        self._restart()
+        self.last_replayed = self._resume_devices()
+        self.saved = None
+        self.in_flight = None
+
+    def stage_abort(self):
+        if self.in_flight in (Stage.SUSPEND, Stage.SAVE):
+            self._restart()
+        return super().stage_abort()
+
+    def _restart(self) -> None:
+        kernel = self.domain.kernel
         kernel.timers.thaw()
         kernel.resume_kernel_execution()
         kernel.resume_user_execution()
-        self._stopped = False
-        for vbd in self.domain.vbds:
-            vbd.resume()
-        replayed = 0
-        for nic in self.domain.nics:
-            replayed += nic.resume()
-        self.last_replayed = replayed
-
-    def stage_abort(self):
-        kernel = self.domain.kernel
-        if self._stopped:
-            kernel.timers.thaw()
-            kernel.resume_kernel_execution()
-            kernel.resume_user_execution()
-            self._stopped = False
-        for vbd in self.domain.vbds:
-            if vbd.suspended:
-                vbd.resume()
-        for nic in self.domain.nics:
-            if nic.suspended:
-                nic.resume()
 
     def serialize(self) -> dict:
-        if self._stopped:
-            raise CheckpointError(
-                f"{self.name}: serialize while suspended; snapshots are "
-                f"taken at quiescent (running) instants")
+        super().serialize()         # refuses mid-checkpoint, like the base
         return {"last_downtime_ns": self.last_downtime_ns,
                 "last_replayed": self.last_replayed}
 
@@ -830,8 +782,8 @@ class NaiveDomainProvider(Checkpointable):
         self.last_downtime_ns = snapshot["last_downtime_ns"]
         self.last_replayed = snapshot["last_replayed"]
         self._suspended_at = 0
-        self._stopped = False
-
+        self.saved = None
+        self.in_flight = None
 
 # ---------------------------------------------------------------------- capture
 

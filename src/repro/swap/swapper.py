@@ -5,7 +5,9 @@ Swap-out saves each node's run-time state — the memory image and the
 control network, then frees the hardware.  Swap-in restores it: golden
 image from the node cache, aggregated delta (lazily, by default), memory
 image, then resume.  The entire swapped-out period is concealed from the
-experiment by the same temporal-firewall machinery as a checkpoint.
+experiment by the same temporal-firewall machinery as a checkpoint: swap-out
+runs each domain provider's ``quiesce..save`` stages and swap-in its
+``resume`` stage, through the node's local checkpoint pipeline.
 
 Optimizations from the paper, all individually switchable for ablations:
 
@@ -25,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.checkpoint.pipeline import Stage, StageFailed
 from repro.errors import SwapError
 from repro.storage.mirror import EagerCopyOut, LazyCopyIn, TransferConfig
 from repro.testbed.emulab import AllocatedNode, Experiment
-from repro.units import MB, SECOND
+from repro.units import MB
 from repro.xen.checkpoint import DomainSnapshot
 
 
@@ -135,9 +138,25 @@ class StatefulSwapper:
                 node.branch.on_write_hooks.remove(hooks[name])
 
         # Phase 2 — suspend every guest (firewall up, state captured).
+        # The disk state is the deltas above, so no branch or clock stage
+        # runs.  A checkpoint in flight on any domain would collide with
+        # the suspend, so no guest is touched while one is.
+        for name, node in exp.nodes.items():
+            stage = node.checkpointer.provider.in_flight
+            if stage is not None:
+                raise SwapError(
+                    f"{exp.spec.name}: cannot swap out while {name} has a "
+                    f"checkpoint in flight (stage {stage.value})")
         suspends = [self.sim.process(self._suspend_node(node))
                     for node in exp.nodes.values()]
-        results = yield self.sim.all_of(suspends)
+        outcomes = yield self.sim.all_of(suspends)
+        failures = [outcomes[p] for p in suspends if outcomes[p] is not None]
+        if failures:
+            # Roll every guest back to running: the experiment stays in.
+            for node in exp.nodes.values():
+                yield from node.checkpointer.pipeline.abort()
+            raise SwapError(
+                f"{exp.spec.name}: swap-out failed: {failures[0]}")
 
         # Phase 3 — transfer memory images and any delta not yet on the
         # server: without pre-copy that is the whole delta; with it, the
@@ -187,14 +206,16 @@ class StatefulSwapper:
         return record
 
     def _suspend_node(self, node: AllocatedNode):
-        saved = yield from node.checkpointer.suspend_and_save()
-        node.agent._saved = None  # not a coordinator-driven checkpoint
-        self._pending_saved = getattr(self, "_pending_saved", {})
-        self._pending_saved[node.spec.name] = saved
-        return saved
+        """Quiesce, suspend and save one guest; returns the failure, if any."""
+        try:
+            yield from node.checkpointer.pipeline.run_stages(Stage.QUIESCE,
+                                                             Stage.SAVE)
+        except StageFailed as exc:
+            return exc
+        return None
 
     def _record_saved(self, node: AllocatedNode) -> None:
-        snapshot, dirty = self._pending_saved[node.spec.name]
+        snapshot, dirty = node.checkpointer.provider.saved
         self.saved[node.spec.name] = SavedNodeState(
             snapshot=snapshot,
             saved_dirty_bytes=dirty,
@@ -262,7 +283,8 @@ class StatefulSwapper:
             # Memory image: the guest resumes the moment it lands.
             yield channel.transfer(node.domain.memory_bytes)
             memory_bytes += node.domain.memory_bytes
-            yield self.sim.process(self._resume_node(node))
+            yield self.sim.process(node.checkpointer.pipeline.run_stages(
+                Stage.RESUME, Stage.RESUME))
 
         exp.state = "SWAPPED_IN"
         exp.swap_ins += 1
@@ -273,14 +295,6 @@ class StatefulSwapper:
             memory_bytes=memory_bytes, lazy=self.config.lazy_copyin)
         self.swap_in_records.append(record)
         return record
-
-    def _resume_node(self, node: AllocatedNode):
-        kernel = node.kernel
-        yield from kernel.firewall.lower_sequence()
-        for vbd in node.domain.vbds:
-            vbd.resume()
-        for nic in node.domain.nics:
-            nic.resume()
 
     def _interpose_lazy_reads(self, node: AllocatedNode,
                               pager: LazyCopyIn) -> None:

@@ -18,7 +18,7 @@ from seeded streams derived from ``seed``; no wall-clock access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import TimeTravelError
@@ -117,12 +117,13 @@ class ReplayableExperiment:
     def checkpointables(self) -> List[Any]:
         """Pipeline providers covering this run's checkpointable state.
 
-        Fresh providers per call (captures must not alias each other);
-        nodes are walked in name order for determinism.  Experiments
-        whose nodes lack a checkpointer or branch yield no providers, and
-        the controller falls back to :meth:`snapshot_bytes`.
+        Each node's own domain provider plus a fresh branch provider
+        per call (branch captures must not alias each other); nodes are
+        walked in name order for determinism.  Experiments whose nodes
+        lack a checkpointer or branch yield no providers, and the
+        controller falls back to :meth:`snapshot_bytes`.
         """
-        from repro.checkpoint.pipeline import BranchProvider, DomainProvider
+        from repro.checkpoint.pipeline import BranchProvider
         providers: List[Any] = []
         experiment = self.handle.experiment
         for name in sorted(experiment.nodes):
@@ -130,7 +131,7 @@ class ReplayableExperiment:
             checkpointer = getattr(node, "checkpointer", None)
             if checkpointer is None:
                 return []
-            providers.append(DomainProvider(checkpointer))
+            providers.append(checkpointer.provider)
             branch = getattr(node, "branch", None)
             if branch is not None:
                 providers.append(BranchProvider(branch))

@@ -7,24 +7,22 @@ suspended through the temporal firewall, the dirty residue and device state
 are saved, and the guest resumes.  From inside the guest, the suspend is
 invisible except for the microsecond-scale firewall window.
 
-The checkpointer is deliberately explicit about its phases so benchmarks
-can attribute every artifact: pre-copy contention, device drain, firewall
+The phases are the stages of the domain's pipeline provider
+(:class:`~repro.checkpoint.pipeline.DomainProvider`), so benchmarks can
+attribute every artifact: pre-copy contention, device drain, firewall
 raise window, stop-and-copy downtime, NIC replay count.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import CheckpointError
 from repro.sim.core import Simulator
 from repro.sim.process import Process
-from repro.units import MB, MS, SECOND, US, transfer_time_ns
+from repro.units import MB, US
 from repro.xen.hypervisor import Domain
-
-_snapshot_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -77,145 +75,69 @@ class CheckpointResult:
 
 
 class LocalCheckpointer:
-    """Checkpoints one domain transparently."""
+    """Checkpoints one domain transparently.
+
+    The driver of a one-provider pipeline over the domain's
+    :class:`~repro.checkpoint.pipeline.DomainProvider`, which owns the
+    phases; a coordinated node agent registers the same provider in its
+    own pipeline, and stateful swap drives this pipeline's stages.
+    """
 
     def __init__(self, domain: Domain,
                  config: Optional[CheckpointConfig] = None,
                  tracer=None) -> None:
+        # Imported lazily: repro.checkpoint pulls this module in at
+        # package-import time, so a top-level import would cycle.
+        from repro.checkpoint.pipeline import (CheckpointPipeline,
+                                               DomainProvider)
         self.domain = domain
         self.sim: Simulator = domain.sim
-        self.config = config if config is not None else CheckpointConfig()
-        #: forwarded to the lazily built local pipeline (stage spans)
-        self.tracer = tracer
+        self.provider = DomainProvider(
+            domain, config if config is not None else CheckpointConfig())
+        self.pipeline = CheckpointPipeline(
+            self.sim, [self.provider], tracer=tracer,
+            session=f"local.{domain.name}")
         self.results: list[CheckpointResult] = []
-        self._busy = False
-        self._pipeline = None
-        self._provider = None
+
+    @property
+    def config(self) -> CheckpointConfig:
+        return self.provider.config
+
+    @config.setter
+    def config(self, config: CheckpointConfig) -> None:
+        self.provider.config = config
 
     def checkpoint(self) -> Process:
         """Start a checkpoint; the returned process yields the result."""
         return self.sim.process(self.run())
 
-    def pipeline(self):
-        """The local single-provider pipeline driving :meth:`run`."""
-        if self._pipeline is None:
-            # Imported lazily: repro.checkpoint pulls this module in at
-            # package-import time, so a top-level import would cycle.
-            from repro.checkpoint.pipeline import (CheckpointPipeline,
-                                                   DomainProvider)
-            self._provider = DomainProvider(self)
-            self._pipeline = CheckpointPipeline(
-                self.sim, [self._provider], tracer=self.tracer,
-                session=f"local.{self.domain.name}")
-        return self._pipeline
-
     # The body is public so coordinators can drive it inside their own
     # processes (``yield from checkpointer.run()``).
     def run(self):
-        if self._busy:
+        if self.provider.in_flight is not None:
             raise CheckpointError(
                 f"checkpoint of {self.domain.name} already in progress")
-        self._busy = True
-        try:
-            pipeline = self.pipeline()
-            yield from pipeline.run_local()
-            result = self._provider.last_result
-            result.stage_timings_ns = pipeline.timings_by_stage()
-            return result
-        finally:
-            self._busy = False
+        yield from self.pipeline.run_local()
+        result = self.provider.last_result
+        result.stage_timings_ns = self.pipeline.timings_by_stage()
+        self.results.append(result)
+        return result
 
-    # ------------------------------------------------------------------ phases
-    #
-    # The phases are public generators so a distributed coordinator can
-    # sequence them around its own barriers (prepare → suspend at T →
-    # barrier → resume).
+    # Single phases under their Xen names, each returning the domain
+    # provider's stage: the end-to-end benchmark's span tracer
+    # (benchmarks/e2e/spans.py) wraps these by name.
 
     def precopy(self):
-        """Phase 1 — live pre-copy while the guest runs.
-
-        dom0 walks and copies all of memory; the copy work shares the CPU
-        at ``dom0_weight``, which is the only guest-visible cost of a live
-        checkpoint (the perturbation Figure 5 measures).
-        """
-        cfg = self.config
-        domain = self.domain
-        precopy_start = self.sim.now
-        memory_copied = 0
-        if cfg.live:
-            duration = transfer_time_ns(domain.memory_bytes, cfg.copy_rate_bps)
-            share = cfg.dom0_weight / (1.0 + cfg.dom0_weight)
-            copy_cpu_work = int(duration * share)
-            if copy_cpu_work > 0:
-                domain.kernel.cpu_outside(copy_cpu_work,
-                                          weight=cfg.dom0_weight)
-            yield self.sim.timeout(duration)
-            memory_copied = domain.memory_bytes
-        return memory_copied, self.sim.now - precopy_start
+        return self.provider.stage_precopy()
 
     def quiesce(self):
-        """Phase 2a — stop I/O: disconnect NICs, drain block devices."""
-        domain = self.domain
-        for nic in domain.nics:
-            nic.suspend()
-        for vbd in domain.vbds:
-            yield from vbd.suspend_after_drain()
+        return self.provider.stage_quiesce()
 
     def suspend(self):
-        """Phase 2b — raise the temporal firewall; guest time stops."""
-        yield from self.domain.kernel.firewall.raise_sequence()
+        return self.provider.stage_suspend()
 
     def save(self):
-        """Phase 3 — stop-and-copy the dirty residue + device state.
+        return self.provider.stage_save()
 
-        This is the checkpoint's true downtime; the guest cannot observe
-        it.  Returns ``(snapshot, dirty_bytes)``.
-        """
-        cfg = self.config
-        domain = self.domain
-        kernel = domain.kernel
-        dirty = (int(domain.memory_bytes * cfg.dirty_fraction)
-                 if cfg.live else domain.memory_bytes)
-        yield self.sim.timeout(transfer_time_ns(max(1, dirty),
-                                                cfg.copy_rate_bps))
-        yield self.sim.timeout(cfg.device_overhead_ns)
-        snapshot = DomainSnapshot(
-            snapshot_id=next(_snapshot_ids),
-            domain_name=domain.name,
-            memory_bytes=domain.memory_bytes,
-            taken_at_true_ns=self.sim.now,
-            taken_at_virtual_ns=kernel.vclock.now(),
-        )
-        return snapshot, dirty
-
-    def suspend_and_save(self):
-        """Phases 2–3 composed (kept for callers that drive both at once)."""
-        yield from self.quiesce()
-        yield from self.suspend()
-        return (yield from self.save())
-
-    def resume(self, started, precopy_ns, memory_copied, snapshot, dirty):
-        """Phase 4 — lower the firewall, reconnect devices, replay rings."""
-        domain = self.domain
-        kernel = domain.kernel
-        yield from kernel.firewall.lower_sequence()
-        for vbd in domain.vbds:
-            vbd.resume()
-        replayed = 0
-        for nic in domain.nics:
-            replayed += nic.resume()
-        clock_frozen_at = kernel.firewall.last_clock_frozen_at_ns
-        clock_thawed_at = kernel.firewall.last_clock_thawed_at_ns
-        return CheckpointResult(
-            snapshot=snapshot,
-            started_at_ns=started,
-            precopy_ns=precopy_ns,
-            downtime_ns=clock_thawed_at - clock_frozen_at,
-            freeze_window_ns=kernel.firewall.last_freeze_window_ns,
-            thaw_window_ns=kernel.firewall.last_thaw_window_ns,
-            clock_frozen_at_ns=clock_frozen_at,
-            clock_thawed_at_ns=clock_thawed_at,
-            memory_copied_bytes=memory_copied + dirty,
-            dirty_copied_bytes=dirty,
-            replayed_packets=replayed,
-        )
+    def resume(self):
+        return self.provider.stage_resume()

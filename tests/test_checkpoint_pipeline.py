@@ -6,11 +6,10 @@ import pytest
 
 from repro.analysis.digest import experiment_digest
 from repro.analysis.metrics import stage_timing_summary
-from repro.checkpoint import (BoundedSkewRetrySuspend, Checkpointable,
-                              CheckpointFailure, CheckpointPipeline,
-                              DeadlineSuspend, DelayNodeAgent,
-                              ImmediateSuspend, NotificationBus, NodeAgent,
-                              RemusCheckpointer, Stage, StageFailed)
+from repro.checkpoint import (Checkpointable, CheckpointFailure,
+                              CheckpointPipeline, DelayNodeAgent,
+                              NotificationBus, NodeAgent, RemusCheckpointer,
+                              Stage, StageFailed)
 from repro.checkpoint.coordinator import Coordinator
 from repro.clocksync import NTPClient, NTPServer
 from repro.errors import CheckpointError, StorageError
@@ -146,7 +145,7 @@ def test_run_stages_now_rejects_stages_that_need_time():
     pipeline.run_stages_now(Stage.PREPARE, Stage.PREPARE)
 
 
-# ------------------------------------------------------------------ policies
+# ------------------------------------------------------------------ suspend deadline
 
 class FakeClock:
     """ns_until_local with a fixed offset error against true time."""
@@ -159,45 +158,23 @@ class FakeClock:
         return max(0, deadline_local_ns - (self.sim.now + self.error_ns))
 
 
-def test_immediate_policy_fires_synchronously():
-    sim = Simulator()
-    fired = []
-    handle = ImmediateSuspend().arm(sim, FakeClock(sim, 0), 123, lambda:
-                                    fired.append(sim.now))
-    assert fired == [0]
-    assert handle is None
-
-
 def test_deadline_policy_realizes_arming_time_clock_error():
     sim = Simulator()
-    fired = []
-    DeadlineSuspend().arm(sim, FakeClock(sim, 400 * US), 100 * MS,
-                          lambda: fired.append(sim.now))
+    hosts = [Hypervisor(sim, Machine(sim, f"n{i}", rng=random.Random(i)))
+             .create_domain(f"n{i}", memory_bytes=64 * MB,
+                            rng=random.Random(10 + i)).kernel.host
+             for i in range(2)]
+    delay_node = install_shaped_link(sim, *hosts,
+                                     LinkShape(bandwidth_bps=100 * MBPS),
+                                     rng=random.Random(5))
+    bus = NotificationBus(sim, random.Random(7))
+    agent = DelayNodeAgent(sim, "delay0", delay_node,
+                           FakeClock(sim, 400 * US), bus)
+    bus.publish("ckpt/suspend_at", 100 * MS, publisher="coordinator")
     sim.run(until=1 * SECOND)
-    # The 400 us clock error at arming time becomes suspend skew.
-    assert fired == [100 * MS - 400 * US]
-
-
-def test_bounded_skew_retry_rechecks_then_fires():
-    sim = Simulator()
-    clock = FakeClock(sim, 0)
-    fired = []
-    policy = BoundedSkewRetrySuspend(slice_ns=10 * MS)
-    policy.arm(sim, clock, 800 * MS, lambda: fired.append(sim.now))
-    sim.run(until=1 * SECOND)
-    assert fired == [800 * MS]
-
-
-def test_bounded_skew_retry_cancel_stops_the_chain():
-    sim = Simulator()
-    fired = []
-    policy = BoundedSkewRetrySuspend(slice_ns=10 * MS)
-    arm = policy.arm(sim, FakeClock(sim, 0), 800 * MS,
-                     lambda: fired.append(sim.now))
-    sim.run(until=100 * MS)
-    arm.cancel()
-    sim.run(until=1 * SECOND)
-    assert fired == []
+    # The agent's one-shot timer runs on its own clock: the 400 us clock
+    # error at arming time becomes suspend skew.
+    assert agent.frozen_at == 100 * MS - 400 * US
 
 
 # ------------------------------------------------------------------ storage
@@ -305,14 +282,14 @@ class MiniRig:
 
 def test_stage_failure_surfaces_structured_result_and_recovers():
     rig = MiniRig()
-    ckpt0 = rig.ckpts[0]
-    original_save = ckpt0.save
+    provider = rig.ckpts[0].provider
+    original_save = provider.stage_save
 
     def failing_save():
         raise CheckpointError("save sink offline")
-        yield  # pragma: no cover — keeps this a generator like save()
+        yield  # pragma: no cover — keeps this a generator like stage_save()
 
-    ckpt0.save = failing_save
+    provider.stage_save = failing_save
     failure = rig.sim.run(until=rig.coordinator.checkpoint_scheduled())
     # The CheckpointError never escaped into the simulator loop: it came
     # back as a structured failure after a coordinated rollback.
@@ -333,7 +310,7 @@ def test_stage_failure_surfaces_structured_result_and_recovers():
     assert kernel.now() > before
     # With the fault removed, the next checkpoint on the same pipeline
     # succeeds end to end.
-    ckpt0.save = original_save
+    provider.stage_save = original_save
     result = rig.sim.run(until=rig.coordinator.checkpoint_scheduled())
     assert result.ok
     assert set(result.node_results) == {"node0", "node1"}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import SwapError
+from repro.errors import CheckpointError, SwapError
+from repro.obs.trace import Tracer, verify_span_nesting
 from repro.sim import Simulator
 from repro.swap import GuestTimeTransducer, StatefulSwapper, SwapConfig
 from repro.testbed import (Emulab, ExperimentSpec, LinkSpec, NFSClient,
@@ -10,8 +11,8 @@ from repro.testbed import (Emulab, ExperimentSpec, LinkSpec, NFSClient,
 from repro.units import MB, MBPS, MS, SECOND
 
 
-def swapped_in_experiment(sim, nodes=1, memory=256 * MB):
-    testbed = Emulab(sim, TestbedConfig(num_machines=6))
+def swapped_in_experiment(sim, nodes=1, memory=256 * MB, tracer=None):
+    testbed = Emulab(sim, TestbedConfig(num_machines=6), tracer=tracer)
     specs = [NodeSpec(f"node{i}", memory_bytes=memory) for i in range(nodes)]
     links = []
     if nodes > 1:
@@ -26,6 +27,92 @@ def swapped_in_experiment(sim, nodes=1, memory=256 * MB):
 def generate_dirty_data(sim, exp, node="node0", nbytes=50 * MB):
     done = exp.node(node).filesystem.write_file("session-data", nbytes)
     sim.run(until=done)
+
+
+def spawn_ticker(kernel, ticks):
+    def ticker(k):
+        while True:
+            yield k.sleep(100 * MS)
+            ticks.append(k.now())
+
+    kernel.spawn(ticker)
+
+
+def assert_running(sim, exp, ticks):
+    """Every guest is running again and the ticker keeps ticking."""
+    assert exp.state == "SWAPPED_IN"
+    for node in exp.nodes.values():
+        assert not node.kernel.firewall.up
+        assert not any(nic.suspended for nic in node.domain.nics)
+        assert node.checkpointer.provider.in_flight is None
+    count = len(ticks)
+    sim.run(until=sim.now + 5 * SECOND)
+    assert len(ticks) - count >= 45
+
+
+def test_swap_out_never_suspends_a_guest_during_a_checkpoint():
+    sim = Simulator()
+    testbed, exp = swapped_in_experiment(sim, nodes=2)
+    ticks = []
+    spawn_ticker(exp.kernel("node1"), ticks)
+    node0 = exp.node("node0")
+    local = node0.checkpointer.checkpoint()
+    while not node0.kernel.firewall.up:
+        sim.run(until=sim.now + 1 * MS)
+    with pytest.raises(SwapError) as err:
+        sim.run(until=StatefulSwapper(exp).swap_out())
+    # The error names the node with the checkpoint in flight and its stage.
+    assert "node0" in str(err.value)
+    assert any(f"stage {stage}" in str(err.value)
+               for stage in ("suspend", "save"))
+    # node1 was never suspended, and node0's own checkpoint completes.
+    node1 = exp.node("node1")
+    assert node1.kernel.firewall.last_clock_frozen_at_ns == 0
+    assert not any(nic.suspended for nic in node1.domain.nics)
+    sim.run(until=local)
+    assert_running(sim, exp, ticks)
+    assert len(node0.checkpointer.results) == 1
+
+
+def test_failed_swap_out_rolls_suspended_guests_back():
+    sim = Simulator()
+    testbed, exp = swapped_in_experiment(sim, nodes=2)
+    ticks = []
+    spawn_ticker(exp.kernel("node0"), ticks)
+
+    def failing_save():
+        raise CheckpointError("file server unreachable")
+        yield  # pragma: no cover — keeps this a generator like stage_save()
+
+    exp.node("node1").checkpointer.provider.stage_save = failing_save
+    with pytest.raises(SwapError, match="domain.node1: save failed"):
+        sim.run(until=StatefulSwapper(exp).swap_out())
+    # node0 had quiesced, suspended and saved: the provider's abort
+    # lowered its firewall and reconnected its devices.
+    assert exp.node("node0").kernel.firewall.last_clock_frozen_at_ns > 0
+    assert_running(sim, exp, ticks)
+    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+    assert max(gaps) < 150 * MS
+
+
+def test_swap_cycle_is_on_the_domain_pipeline_timeline():
+    sim = Simulator()
+    tracer = Tracer(clock=lambda: sim.now, categories={"checkpoint.stage"})
+    testbed, exp = swapped_in_experiment(sim, tracer=tracer)
+    swapper = StatefulSwapper(exp)
+
+    def stages():
+        return [(r.name, r.fields["provider"]) for r in tracer.records
+                if r.track == "local.node0"]
+
+    sim.run(until=swapper.swap_out())
+    assert stages() == [("quiesce", "domain.node0"),
+                        ("suspend", "domain.node0"),
+                        ("save", "domain.node0")]
+    sim.run(until=sim.now + 10 * SECOND)
+    sim.run(until=swapper.swap_in())
+    assert stages()[3:] == [("resume", "domain.node0")]
+    assert verify_span_nesting(tracer.records) == []
 
 
 def test_swap_out_then_in_preserves_guest_state():
