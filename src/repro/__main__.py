@@ -14,16 +14,17 @@ Subcommands:
 * ``bench``     — event-core performance benchmarks, gated on the stored
                   golden digests (writes ``BENCH_sim_core.json``; see
                   docs/performance.md)
-* ``faults``    — seeded fault-storm: a lossy control bus plus a node
-                  crash mid-save must not stop a supervised checkpoint;
-                  runs twice and asserts determinism (docs/robustness.md)
-* ``trace``     — run a scenario with full tracing and export the span
-                  timeline as Chrome/Perfetto ``trace_event`` JSON
-                  (open in ``ui.perfetto.dev``; see docs/observability.md)
-* ``scenario``  — run one declarative scenario file (TOML/JSON, see
-                  docs/scenarios.md): validate, compile into a testbed,
-                  run, and print the digest; ``--race`` adds the event-
-                  race detector, ``--check-digest`` gates on a golden
+* ``scenario``  — the one way to run an experiment: a named scenario
+                  (``NAMED_SCENARIOS``) or a scenario file (TOML/JSON,
+                  see docs/scenarios.md), with ``--set`` overrides;
+                  validate, compile, run, print the digest, and gate
+                  it: a named run without ``--set`` must reproduce its
+                  stored golden, ``--check-digest`` names another,
+                  ``--repeat N`` demands N agreeing runs, ``--race``
+                  adds the event-race detector, any failed scheduled
+                  checkpoint fails the run, and ``--trace OUT`` exports
+                  the span timeline as Chrome/Perfetto ``trace_event``
+                  JSON (docs/robustness.md, docs/observability.md)
 * ``sweep``     — expand a sweep file's parameter grid (seeds x
                   topologies x fault storms x checkpoint policies) and
                   run every expansion in worker processes; aggregates
@@ -131,8 +132,9 @@ def cmd_results(_args) -> int:
               "`pytest benchmarks/ --benchmark-only -s`")
         return 1
     for name in sorted(os.listdir(results_dir)):
-        with open(os.path.join(results_dir, name)) as fh:
-            print(fh.read())
+        if name.endswith(".txt"):
+            with open(os.path.join(results_dir, name)) as fh:
+                print(fh.read())
     return 0
 
 
@@ -146,31 +148,77 @@ def cmd_lint(args) -> int:
     if args.graph:
         return dump_graph(args.paths or ["src"])
     return run_lint(args.paths or ["src"], json_output=args.json,
-                    select=args.select, baseline=args.baseline,
-                    write_baseline_to=args.write_baseline)
+                    select=args.select)
 
 
 def cmd_bench(args) -> int:
     from repro.bench import run_bench, run_profile
 
-    if args.scenario_file:
-        from repro.bench.runner import run_scenario_bench
-
-        return run_scenario_bench(args.scenario_file, quick=args.quick)
     if args.profile:
         return run_profile(json_output=args.output)
     return run_bench(quick=args.quick, output=args.output)
 
 
-def cmd_scenario(args) -> int:
-    from repro.errors import ScenarioError
-    from repro.testbed.compile import run_scenario_file
+def _set_overrides(pairs) -> dict:
+    """``--set PATH=VALUE`` pairs as dotted-path overrides; each VALUE
+    is parsed as a TOML value (``faults={}``, ``'policy="fail-fast"'``)."""
+    import tomllib
 
+    from repro.errors import ScenarioError
+
+    overrides = {}
+    for pair in pairs:
+        path, sep, text = pair.partition("=")
+        path = path.strip()
+        if not sep or not path:
+            raise ScenarioError(f"--set {pair!r}: expected PATH=VALUE")
+        try:
+            overrides[path] = tomllib.loads(f"value = {text}")["value"]
+        except tomllib.TOMLDecodeError as exc:
+            raise ScenarioError(f"--set value {text!r} is not a TOML value "
+                                f"({exc})", path=path) from exc
+    return overrides
+
+
+def _run_traced(compiled, race: bool, trace: bool):
+    """One run, with a fresh in-memory tracer when ``trace`` is set."""
+    from repro.obs import ListSink, Tracer
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    tracer = Tracer(clock=lambda: sim.now, sink=ListSink()) if trace else None
+    return compiled.run(sim=sim, race=race, tracer=tracer), tracer
+
+
+def cmd_scenario(args) -> int:
+    from repro.checkpoint import CheckpointFailure
+    from repro.errors import ScenarioError
+    from repro.testbed.compile import (NAMED_SCENARIOS, compile_scenario,
+                                       load_goldens, load_named)
+    from repro.testbed.dsl import load_scenario
+
+    named = args.scenario in NAMED_SCENARIOS
     try:
-        result = run_scenario_file(args.file, race=args.race)
+        overrides = _set_overrides(args.set)
+        spec = (load_named(args.scenario, overrides) if named
+                else load_scenario(args.scenario, overrides=overrides))
+        compiled = compile_scenario(spec)
+        expected = None
+        if args.check_digest:
+            expected = load_goldens().get(args.check_digest,
+                                          args.check_digest)
+        elif named and not overrides:
+            expected = load_goldens().get(args.scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}")
         return 2
+    if args.repeat < 1:
+        print("scenario error: --repeat must be >= 1")
+        return 2
+
+    runs = [_run_traced(compiled, args.race, bool(args.trace))
+            for _ in range(args.repeat)]
+    result = runs[0][0]
     if args.json:
         import json
 
@@ -184,17 +232,49 @@ def cmd_scenario(args) -> int:
         print(f"scenario {result.name}: ran to "
               f"t={result.virtual_now_ns / 1e9:.3f}s")
         for key, value in sorted(result.details.items()):
-            print(f"  {key}: {value}")
+            if key != "metrics":        # the full snapshot is in --json
+                print(f"  {key}: {value}")
         print(f"digest [{result.recipe}]: {result.digest}")
+
+    ok = True
+    for run, _ in runs:
+        failed = [c for c in run.checkpoints
+                  if isinstance(c, CheckpointFailure)]
+        for failure in failed:
+            print(f"checkpoint FAILED at {failure.stage}: {failure.reason}")
+        if failed or run.details.get("completed") is False:
+            print("scheduled checkpoints: FAILED")
+            ok = False
     if args.race:
-        print("races:", result.races if result.races else "none")
-        if result.races:
-            print(result.race_report)
-            return 1
-    if args.check_digest and result.digest != args.check_digest:
-        print(f"digest MISMATCH: expected {args.check_digest}")
-        return 1
-    return 0
+        races = sum(run.races for run, _ in runs)
+        print("races:", races if races else "none")
+        for run, _ in runs:
+            if run.races:
+                print(run.race_report)
+                ok = False
+    digests = [run.digest for run, _ in runs]
+    if len(digests) > 1:
+        agree = len(set(digests)) == 1
+        print(f"run-to-run determinism: "
+              f"{'OK' if agree else 'MISMATCH'} over {len(digests)} runs")
+        if not agree:
+            for i, digest in enumerate(digests, 1):
+                print(f"  run {i} digest: {digest}")
+            ok = False
+    if expected is not None:
+        if result.digest == expected:
+            print("golden: OK")
+        else:
+            print(f"digest MISMATCH: expected {expected}")
+            ok = False
+    if args.trace:
+        from repro.obs import write_chrome_trace
+
+        records = runs[0][1].records
+        count = write_chrome_trace(records, args.trace)
+        print(f"{len(records)} trace records -> {count} trace events -> "
+              f"{args.trace}")
+    return 0 if ok else 1
 
 
 def cmd_sweep(args) -> int:
@@ -212,87 +292,6 @@ def cmd_sweep(args) -> int:
     if args.out:
         print(f"report -> {args.out}")
     return 0 if report["ok"] else 1
-
-
-def cmd_trace(args) -> int:
-    from repro.bench.runner import _golden_pipeline_digests
-    from repro.obs import ListSink, Tracer, write_chrome_trace
-    from repro.sim import Simulator
-    from repro.testbed.compile import compile_scenario, load_named
-
-    sim = Simulator()
-    tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
-    digest = compile_scenario(load_named(args.scenario)).run(
-        sim=sim, tracer=tracer).digest
-    records = tracer.records
-    golden = _golden_pipeline_digests().get(args.scenario)
-
-    count = write_chrome_trace(records, args.out)
-    print(f"{args.scenario}: {len(records)} trace records -> "
-          f"{count} trace events -> {args.out}")
-    print(f"digest: {digest}")
-    if golden is not None:
-        ok = digest == golden
-        print("golden (tracing must not move it):",
-              "OK" if ok else f"MISMATCH (expected {golden})")
-        return 0 if ok else 1
-    return 0
-
-
-def cmd_faults(args) -> int:
-    from repro.errors import ScenarioError
-    from repro.testbed.compile import compile_scenario, load_named
-
-    if args.verify_off:
-        # A disabled injector (an empty [faults] table) attached to the
-        # full distributed checkpoint must not move the golden digest by
-        # a single bit.
-        from repro.bench.runner import _golden_pipeline_digests
-
-        golden = _golden_pipeline_digests()["ckpt10_coordinated"]
-        digest = compile_scenario(load_named(
-            "ckpt10_coordinated", {"faults": {}})).run().digest
-        ok = digest == golden
-        print(f"faults-off ckpt10 digest: {digest}")
-        print(f"golden:                   {golden}")
-        print("fault-free equivalence:", "OK" if ok else "FAILED")
-        return 0 if ok else 1
-
-    try:
-        spec = load_named("ckpt10_faultstorm", {
-            "nodes[0].count": args.nodes, "faults.seed": args.seed})
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}")
-        return 2
-    plan = spec.fault_plan
-    crashes = ", ".join(f"{c.agent} crashes mid-{c.stage}"
-                        for c in plan.crashes)
-    print(f"fault storm: {args.nodes} nodes, plan seed {plan.seed}, "
-          f"bus loss {plan.bus.loss_prob:.0%}, {crashes} ...")
-    storm = compile_scenario(spec)
-    first = storm.run(race=args.race)
-    details = first.details
-    bus = details["bus"]
-    print(f"  attempt(s): {details['supervisor_attempts']}   "
-          f"completed: {details['completed']}")
-    print(f"  faults injected: {sum(details['injected'].values())} "
-          f"{dict(sorted(details['injected'].items()))}")
-    print(f"  bus: {bus['retransmits']} retransmits, "
-          f"{bus['duplicates_suppressed']} duplicates suppressed, "
-          f"{bus['gave_up']} gave up")
-    if details["excluded"]:
-        print(f"  degraded: excluded {details['excluded']}")
-    if args.race:
-        print(f"  races: {first.race_report}")
-    second = storm.run()
-    deterministic = first.digest == second.digest
-    print(f"  run 1 digest: {first.digest}")
-    print(f"  run 2 digest: {second.digest}")
-    print("determinism:", "OK" if deterministic else "FAILED")
-    ok = (details["completed"] and deterministic and
-          (not args.race or first.races == 0))
-    print("fault storm:", "SURVIVED" if ok else "FAILED")
-    return 0 if ok else 1
 
 
 def _cmd_snapshot_durable(args) -> int:
@@ -479,11 +478,6 @@ def main(argv=None) -> int:
     lint.add_argument("--graph", action="store_true",
                       help="dump the project call graph and taint facts "
                            "as JSON instead of linting")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="ratchet file: fail only on findings absent "
-                           "from FILE")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="record the current findings to FILE and exit 0")
     bench = sub.add_parser("bench", help="event-core performance benchmarks")
     bench.add_argument("--quick", action="store_true",
                        help="smaller workloads (CI smoke run)")
@@ -496,21 +490,33 @@ def main(argv=None) -> int:
                        help="profile the event loop instead: hot-spot "
                             "attribution + trace record counts, written "
                             "as a JSON report")
-    bench.add_argument("--scenario-file", metavar="PATH",
-                       help="bench a declarative scenario file instead of "
-                            "the built-in registry: run it twice and "
-                            "assert the digests agree")
     scenario = sub.add_parser("scenario",
-                              help="run one declarative scenario file "
-                                   "(docs/scenarios.md)")
-    scenario.add_argument("file", help="scenario .toml/.json path")
+                              help="run one named scenario or scenario "
+                                   "file, gated (docs/scenarios.md)")
+    scenario.add_argument("scenario", metavar="NAME|FILE",
+                          help=f"a named scenario "
+                               f"({', '.join(sorted(NAMED_SCENARIOS))}) "
+                               f"or a scenario .toml/.json path")
+    scenario.add_argument("--set", action="append", default=[],
+                          metavar="PATH=VALUE",
+                          help="override one dotted path before "
+                               "validation; VALUE is a TOML value "
+                               "(repeatable)")
+    scenario.add_argument("--repeat", type=int, default=1, metavar="N",
+                          help="run N times; fail unless every digest "
+                               "agrees (default: 1)")
     scenario.add_argument("--race", action="store_true",
                           help="run under the event-race detector "
                                "(non-zero exit on findings)")
+    scenario.add_argument("--check-digest", metavar="HEX|NAME",
+                          help="fail unless the digest equals HEX or the "
+                               "stored golden of NAME (a named run "
+                               "without --set is always gated on its own)")
+    scenario.add_argument("--trace", metavar="OUT",
+                          help="trace the run and write the Chrome/"
+                               "Perfetto trace_event JSON to OUT")
     scenario.add_argument("--json", action="store_true",
                           help="machine-readable result")
-    scenario.add_argument("--check-digest", metavar="HEX",
-                          help="fail unless the run digest equals HEX")
     sweep = sub.add_parser("sweep",
                            help="run a parameter-grid sweep of one "
                                 "scenario across worker processes")
@@ -522,25 +528,6 @@ def main(argv=None) -> int:
                        help="write the aggregated JSON report here")
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress the human report")
-    faults = sub.add_parser("faults",
-                            help="seeded fault-storm survival + determinism")
-    faults.add_argument("--nodes", type=int, default=10,
-                        help="experiment size (default: 10)")
-    faults.add_argument("--seed", type=int, default=1,
-                        help="fault-plan seed (default: 1)")
-    faults.add_argument("--race", action="store_true",
-                        help="run under the event-race detector")
-    faults.add_argument("--verify-off", action="store_true",
-                        help="check a disabled injector preserves the "
-                             "ckpt10 golden digest, then exit")
-    trace = sub.add_parser("trace",
-                           help="run a scenario traced; export a Chrome/"
-                                "Perfetto timeline")
-    trace.add_argument("scenario", choices=sorted(NAMED_SCENARIOS),
-                       help="which named scenario to run")
-    trace.add_argument("--out", metavar="PATH", default="trace.json",
-                       help="trace_event JSON output path "
-                            "(default: trace.json)")
     snap = sub.add_parser("snapshot",
                           help="run/inspect/restore/diff true snapshots "
                                "of a serializable world")
@@ -586,8 +573,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     return {"info": cmd_info, "selftest": cmd_selftest,
             "results": cmd_results, "lint": cmd_lint,
-            "bench": cmd_bench, "faults": cmd_faults,
-            "trace": cmd_trace, "snapshot": cmd_snapshot,
+            "bench": cmd_bench, "snapshot": cmd_snapshot,
             "scenario": cmd_scenario, "sweep": cmd_sweep}[args.command](args)
 
 

@@ -3,7 +3,7 @@
 Each scenario runs ``reps`` times and records the median wall clock with
 its interquartile range (``seconds`` / ``seconds_iqr``).  The runs are
 deterministic, so every repetition must return the same digest; where a
-stored golden exists (``benchmarks/results/PIPELINE_digests.json``) that
+stored golden exists (:func:`~repro.testbed.compile.load_goldens`) that
 digest must also equal the golden bit for bit.  ``event_churn`` carries
 the one hard-fail throughput gate: its cost per event divided by the cost
 of a frozen pure-Python heapq loop
@@ -31,23 +31,12 @@ from repro.bench.scenarios import (run_calibrator, run_event_churn,
                                    run_fig8, run_pipe_saturation,
                                    run_timer_storm)
 from repro.sim import Simulator
-from repro.testbed.compile import compile_scenario, load_named
+from repro.testbed.compile import compile_scenario, load_goldens, load_named
 
 
 def _repo_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))))
-
-
-def _golden_pipeline_digests() -> Dict[str, str]:
-    """The stored golden digests every scenario run must reproduce."""
-    path = os.path.join(_repo_root(), "benchmarks", "results",
-                        "PIPELINE_digests.json")
-    try:
-        with open(path) as fh:
-            return json.load(fh)["scenarios"]
-    except (OSError, KeyError, ValueError):
-        return {}
 
 
 def _time_run(fn: Callable[[], object]) -> Tuple[float, object]:
@@ -150,8 +139,7 @@ def _bench_digest(fn: Callable[[], str], golden: Optional[str],
 def _bench_named(name: str, goldens: Dict[str, str], reps: int) -> Dict:
     """One named scenario file, compiled once and run ``reps`` times."""
     compiled = compile_scenario(load_named(name))
-    return _bench_digest(lambda: compiled.run().digest, goldens.get(name),
-                         reps)
+    return _bench_digest(lambda: compiled.run().digest, goldens[name], reps)
 
 
 def _bench_faultstorm(quick: bool) -> Dict:
@@ -383,7 +371,7 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
     """
     from repro.obs import ListSink, Tracer
 
-    goldens = _golden_pipeline_digests()
+    golden = load_goldens()["ckpt10_coordinated"]
     sim = Simulator()
     profiler = sim.enable_profiling()
     tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
@@ -392,10 +380,8 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
         lambda: ckpt10.run(sim=sim, tracer=tracer).digest)
     print(f"profiled ckpt10_coordinated: {elapsed:.3f}s wall, "
           f"{profiler.dispatches} callbacks dispatched", file=out)
-    golden = goldens.get("ckpt10_coordinated")
-    if golden is not None:
-        status = "OK" if digest == golden else "MISMATCH"
-        print(f"digest vs golden: {status}", file=out)
+    print(f"digest vs golden: "
+          f"{'OK' if digest == golden else 'MISMATCH'}", file=out)
     print(file=out)
     print(profiler.format_report(top=top), file=out)
     print(file=out)
@@ -413,7 +399,7 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
         "dispatches": profiler.dispatches,
         "digest": digest,
         "digest_golden": golden,
-        "digest_match": golden is None or digest == golden,
+        "digest_match": digest == golden,
         "hot_spots": profiler.report(top=top),
         "trace_records": dict(sorted(tracer.category_counts.items())),
     }
@@ -422,7 +408,7 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {json_output}", file=out)
-    return 0 if golden is None or digest == golden else 1
+    return 0 if digest == golden else 1
 
 
 #: scenarios whose median wall clock is compared against the checked-in
@@ -475,7 +461,7 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
     diverges from its golden or between repetitions, or if
     ``event_churn``'s calibrated ratio regressed past its budget.
     """
-    goldens = _golden_pipeline_digests()
+    goldens = load_goldens()
     scenarios = {
         "event_churn": _bench_event_churn,
         "timer_cancel_rearm_storm": lambda: _bench_timer_storm(quick),
@@ -495,7 +481,7 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
         "fig5_cpuburn": lambda: _bench_named("fig5_cpuburn", goldens,
                                              reps=15),
         "fig8_cow_storage": lambda: _bench_digest(
-            lambda: run_fig8(Simulator()), goldens.get("fig8_cow_storage"),
+            lambda: run_fig8(Simulator()), goldens["fig8_cow_storage"],
             reps=3),
         "ckpt10_coordinated": lambda: _bench_named(
             "ckpt10_coordinated", goldens, reps=5),
@@ -504,7 +490,7 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
         # Observability gate: tracing must be digest-neutral, and the
         # sink configurations bound its wall-clock cost.
         "ckpt10_trace_overhead": lambda: _bench_trace_overhead(
-            goldens.get("ckpt10_coordinated"), quick),
+            goldens["ckpt10_coordinated"], quick),
         # True-restore gate: restore-then-run must match replay digests
         # and beat it past the recorded virtual-time crossover, with
         # delta snapshots smaller than full.
@@ -571,37 +557,3 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
               file=out)
     return 0 if ok else 1
 
-
-def run_scenario_bench(path: str, quick: bool = False,
-                       out=None) -> int:
-    """``repro bench --scenario-file``: bench one declarative scenario.
-
-    Every kind of scenario runs twice with identical inputs and must be
-    run-to-run deterministic (docs/scenarios.md).  Returns non-zero on
-    any digest divergence.  ``quick`` is accepted for CLI symmetry;
-    scenario parameters come from the file and are never scaled down.
-    """
-    del quick  # parameters live in the scenario file
-    if out is None:
-        out = sys.stdout
-    from repro.errors import ScenarioError
-    from repro.testbed.compile import compile_scenario
-    from repro.testbed.dsl import load_scenario
-
-    try:
-        spec = load_scenario(path)
-        compiled = compile_scenario(spec)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=out)
-        return 2
-    recipe = ("world" if spec.kind == "world" else spec.digest_recipe)
-    first_s, first = _time_run(compiled.run)
-    second_s, second = _time_run(compiled.run)
-    match = first.digest == second.digest
-    print(f"{spec.name} [{recipe}]: run1 {first_s:.3f}s, "
-          f"run2 {second_s:.3f}s", file=out)
-    print(f"  digest run1: {first.digest}", file=out)
-    print(f"  digest run2: {second.digest}", file=out)
-    print("run-to-run determinism:", "OK" if match else "MISMATCH",
-          file=out)
-    return 0 if match else 1

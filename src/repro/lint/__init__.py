@@ -18,13 +18,10 @@ this package enforces both promises two ways:
   state-diff sanitizer (:mod:`repro.lint.statecheck`) that attributes
   cross-checkpoint divergence to named provider fields.
 
-Pre-existing findings can be ratcheted with a baseline file
-(:mod:`repro.lint.baseline`) instead of blocking the gate.  See
-``docs/static-analysis.md`` for the full rule catalogue and
+See ``docs/static-analysis.md`` for the full rule catalogue and
 ``docs/determinism.md`` for the determinism rationale.
 """
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.engine import (Violation, check_paths, check_source,
                                check_sources, iter_python_files)
 from repro.lint.graph import (PROJECT_RULES, ProjectIndex, all_project_codes,
@@ -42,7 +39,6 @@ __all__ = [
     "RULES", "Rule", "all_codes",
     "PROJECT_RULES", "ProjectIndex", "all_project_codes", "build_index",
     "check_project",
-    "apply_baseline", "load_baseline", "write_baseline",
     "EventRace", "EventRaceDetector", "ShadowRunReport", "shadow_run",
     "trace_digest",
     "FieldDivergence", "StateCheck", "StateCheckReport", "field_digests",

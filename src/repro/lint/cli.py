@@ -1,13 +1,12 @@
 """The ``repro lint`` subcommand.
 
 Exit codes follow pre-commit conventions: 0 clean, 1 violations found,
-2 usage error (unknown rule code, missing path, bad baseline file).
+2 usage error (unknown rule code, missing path).
 
 Beyond the per-file rules the CLI runs the whole-program pass
-(:mod:`repro.lint.graph`) over every parsed file at once, supports
+(:mod:`repro.lint.graph`) over every parsed file at once, and supports
 ``--graph`` to dump the call graph / taint facts as JSON instead of
-linting, and ``--baseline`` / ``--write-baseline`` for the ratchet
-workflow (:mod:`repro.lint.baseline`).
+linting.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import json
 import sys
 from typing import List, Optional, Sequence, TextIO, Tuple
 
-from repro.lint.baseline import (apply_baseline, load_baseline,
-                                 write_baseline)
 from repro.lint.engine import (check_sources, iter_python_files,
                                render_human, render_json)
 from repro.lint.graph import PROJECT_RULES, build_index
@@ -70,8 +67,6 @@ def dump_graph(paths: Sequence[str], out: Optional[TextIO] = None) -> int:
 
 def run_lint(paths: Sequence[str], json_output: bool = False,
              select: Optional[str] = None,
-             baseline: Optional[str] = None,
-             write_baseline_to: Optional[str] = None,
              out: Optional[TextIO] = None) -> int:
     """Lint ``paths``; print a report; return the process exit code."""
     out = out if out is not None else sys.stdout
@@ -88,24 +83,8 @@ def run_lint(paths: Sequence[str], json_output: bool = False,
         out.write(f"no python files found under: {', '.join(paths)}\n")
         return 2
     violations = check_sources(pairs, select=selected)
-    if write_baseline_to is not None:
-        count = write_baseline(write_baseline_to, violations)
-        out.write(f"baseline written: {count} finding(s) recorded to "
-                  f"{write_baseline_to}\n")
-        return 0
-    suppressed = 0
-    if baseline is not None:
-        try:
-            entries = load_baseline(baseline)
-        except ValueError as exc:
-            out.write(f"{exc}\n")
-            return 2
-        violations, suppressed = apply_baseline(violations, entries)
     if json_output:
         out.write(render_json(violations, len(pairs)) + "\n")
     else:
         out.write(render_human(violations, len(pairs)) + "\n")
-        if suppressed:
-            out.write(f"({suppressed} baselined finding(s) suppressed "
-                      f"by {baseline})\n")
     return 1 if violations else 0

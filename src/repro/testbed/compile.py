@@ -6,8 +6,8 @@
 (:mod:`repro.testbed.schedule`) and assembles the digest.  The scenario
 files are the only definition of the figure experiments:
 :data:`NAMED_SCENARIOS` maps every golden name to its file plus
-overrides, and the stored goldens
-(``benchmarks/results/PIPELINE_digests.json``) are the oracle.
+overrides, and the stored goldens (:func:`load_goldens` reads
+``benchmarks/results/PIPELINE_digests.json``) are the oracle.
 
 Digest recipes (``[run] digest``, default ``"auto"``):
 
@@ -27,6 +27,7 @@ Digest recipes (``[run] digest``, default ``"auto"``):
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -43,14 +44,17 @@ from repro.testbed.schedule import (periodic_coordinated_checkpoints,
                                     supervised_checkpoints)
 from repro.units import MB, MS, SECOND
 
-__all__ = ["CompiledScenario", "NAMED_SCENARIOS", "SCENARIO_DIR",
-           "ScenarioResult", "compile_scenario", "load_named",
-           "run_scenario_file"]
+__all__ = ["CompiledScenario", "GOLDEN_PATH", "NAMED_SCENARIOS",
+           "SCENARIO_DIR", "ScenarioResult", "compile_scenario",
+           "load_goldens", "load_named", "run_scenario_file"]
 
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
 #: the scenario files shipped with the repository
-SCENARIO_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))), "examples", "scenarios")
+SCENARIO_DIR = os.path.join(_REPO_ROOT, "examples", "scenarios")
+#: the stored golden digests, keyed by scenario name
+GOLDEN_PATH = os.path.join(_REPO_ROOT, "benchmarks", "results",
+                           "PIPELINE_digests.json")
 
 #: every named experiment -> (scenario file, dotted-path overrides).  A
 #: name with a stored golden must reproduce it bit for bit.
@@ -76,6 +80,31 @@ def load_named(name: str,
                          overrides={**base, **(overrides or {})})
 
 
+def load_goldens(path: Optional[str] = None) -> Dict[str, str]:
+    """The stored golden digests (default: :data:`GOLDEN_PATH`) every
+    named run must reproduce.
+
+    A missing or unreadable golden file is an error, never an empty
+    table: an empty table would silently turn every golden gate into a
+    run-to-run check.
+    """
+    path = path or GOLDEN_PATH
+    source = os.path.basename(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            goldens = json.load(fh)["scenarios"]
+    except OSError as exc:
+        raise ScenarioError(f"cannot read golden digests: {exc}",
+                            source=source) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed golden digests file: {exc!r}",
+                            source=source) from exc
+    if not isinstance(goldens, dict):
+        raise ScenarioError("malformed golden digests file: "
+                            '"scenarios" is not a table', source=source)
+    return goldens
+
+
 @dataclass
 class ScenarioResult:
     """What one scenario run produced."""
@@ -85,13 +114,13 @@ class ScenarioResult:
     digest: str
     virtual_now_ns: int
     #: per-run facts: workload summaries, checkpoint counts, fault
-    #: injections, bus counters — shape depends on the scenario kind
+    #: injections, bus counters — shape depends on the digest recipe
     details: Dict[str, Any] = field(default_factory=dict)
     races: int = 0
     race_report: str = ""
-    #: testbed kind only: the swapped-in experiment, the started
-    #: workloads as (kind, object) pairs, the checkpoint results in
-    #: completion order, and the virtual time swap-in finished at
+    #: the swapped-in experiment, the started workloads as (kind,
+    #: object) pairs, the checkpoint results in completion order, and
+    #: the virtual time swap-in finished at
     experiment: Any = None
     workloads: List[Tuple[str, Any]] = field(default_factory=list)
     checkpoints: List[Any] = field(default_factory=list)
@@ -125,26 +154,8 @@ class CompiledScenario:
         ``sim`` supplies the simulator (e.g. one with profiling on),
         ``race`` attaches the event-race detector, ``tracer`` records
         spans and records (it never moves a digest), and ``streams``
-        replaces the testbed's random streams (shadow runs).  World
-        scenarios build their own simulator and accept none of them.
+        replaces the testbed's random streams (shadow runs).
         """
-        if self.spec.kind == "world":
-            given = [name for name, value in (
-                ("sim", sim), ("tracer", tracer), ("streams", streams))
-                if value is not None] + (["race"] if race else [])
-            if given:
-                raise ScenarioError(
-                    f"world scenarios build their own simulator; "
-                    f"{', '.join(given)} applies only to testbed "
-                    f"scenarios", path="scenario.kind",
-                    source=self.spec.source)
-            return self._run_world()
-        return self._run_testbed(sim, race, tracer, streams)
-
-    # -- testbed kind ----------------------------------------------------------
-
-    def _run_testbed(self, sim: Optional[Simulator], race: bool, tracer,
-                     streams) -> ScenarioResult:
         from repro.checkpoint import (CheckpointSupervisor,
                                       ReliabilityConfig)
         from repro.faults.injector import FaultInjector
@@ -313,45 +324,11 @@ class CompiledScenario:
         blob = f"{td}:{exp_digest}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest(), details
 
-    # -- world kind ------------------------------------------------------------
-
-    def _run_world(self) -> ScenarioResult:
-        from repro.timetravel.controller import TimeTravelController
-        from repro.timetravel.resume import DEFAULT_SEEDS, run_durable
-        from repro.timetravel.scenarios import world_factory
-
-        spec = self.spec
-        world = spec.world
-        seed = spec.seed if spec.seed else DEFAULT_SEEDS[world.world]
-        if world.durable_dir:
-            result = run_durable(world.world, world.durable_dir,
-                                 steps=world.checkpoints,
-                                 step_ns=world.interval_ns,
-                                 fsync=world.fsync, seed=seed,
-                                 resume=world.resume)
-            return ScenarioResult(
-                name=spec.name, recipe="world", digest=result["digest"],
-                virtual_now_ns=result["virtual_now"],
-                details={"committed": result["committed"],
-                         "durability": result["durability"],
-                         "restore_stats": result["restore_stats"]})
-        controller = TimeTravelController(world_factory(world.world),
-                                          seed=seed)
-        for i in range(1, world.checkpoints + 1):
-            controller.active_run.advance_to_quiescence(
-                i * world.interval_ns)
-            controller.checkpoint(label=f"t{i}")
-        return ScenarioResult(
-            name=spec.name, recipe="world",
-            digest=controller.active_run.state_digest(),
-            virtual_now_ns=controller.active_run.virtual_now(),
-            details={"checkpoints": world.checkpoints})
-
 
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     """Wrap a validated spec; raises on contradictions the parser allows."""
-    if spec.kind == "testbed" and spec.experiment is None:
-        raise ScenarioError("testbed scenario has no nodes",
+    if spec.experiment is None:
+        raise ScenarioError("scenario has no nodes",
                             path="nodes", source=spec.source)
     return CompiledScenario(spec)
 

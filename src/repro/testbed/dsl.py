@@ -2,8 +2,7 @@
 
 A scenario file describes a complete experiment — topology (nodes,
 links, LANs with their Dummynet pipe parameters), workloads, checkpoint
-schedule, fault plan, seeds, and snapshot/durability options — and
-compiles (:mod:`repro.testbed.compile`) into an
+schedule, fault plan and seeds — and compiles (:mod:`repro.testbed.compile`) into an
 :class:`~repro.testbed.emulab.Emulab` rig.  The files under
 ``examples/scenarios/`` are the only definition of the paper's figure
 experiments; a variant is a file plus dotted-path overrides
@@ -59,8 +58,8 @@ from repro.units import MB, MBPS, MS, SECOND
 
 __all__ = [
     "CheckpointSchedule", "RunSpec", "ScenarioSpec", "WorkloadSpec",
-    "WorldSpec", "load_scenario", "parse_path", "parse_scenario",
-    "set_path", "substitute_placeholders",
+    "load_scenario", "parse_path", "parse_scenario", "set_path",
+    "substitute_placeholders",
 ]
 
 PLACEHOLDER_RE = re.compile(r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*\}\}")
@@ -75,8 +74,6 @@ POLICIES = ("retry-then-abort", "fail-fast", "proceed-without-delay-nodes")
 #: digest recipes ("auto" derives one from the checkpoint mode)
 DIGESTS = ("auto", "experiment", "local-parts", "coordinated-parts",
            "survival")
-#: serializable snapshot worlds (kind = "world" scenarios)
-WORLDS = ("fig4", "fig8", "faultstorm")
 
 
 # -- normalized spec -----------------------------------------------------------
@@ -123,28 +120,14 @@ class RunSpec:
     digest: str = "auto"
 
 
-@dataclass(frozen=True)
-class WorldSpec:
-    """A serializable snapshot world plus its snapshot/durability knobs."""
-
-    world: str = "fig4"            # one of WORLDS
-    checkpoints: int = 3
-    interval_ns: int = 1 * SECOND
-    durable_dir: str = ""          # empty = in-memory SnapshotStore
-    fsync: bool = True
-    resume: bool = False
-
-
 @dataclass
 class ScenarioSpec:
     """A fully validated, unit-normalized scenario description."""
 
     name: str
-    kind: str = "testbed"          # "testbed" | "world"
     seed: int = 0
     description: str = ""
     source: str = "<dict>"
-    # testbed kind
     experiment: Optional[ExperimentSpec] = None
     num_machines: int = 0
     reliable_bus: bool = False
@@ -154,8 +137,6 @@ class ScenarioSpec:
     schedule: CheckpointSchedule = field(default_factory=CheckpointSchedule)
     run: RunSpec = field(default_factory=RunSpec)
     fault_plan: Optional[FaultPlan] = None
-    # world kind
-    world: Optional[WorldSpec] = None
 
     @property
     def digest_recipe(self) -> str:
@@ -630,32 +611,6 @@ def _parse_faults(v: _V, agents: List[str]) -> Optional[FaultPlan]:
                      process_crashes=tuple(process_crashes))
 
 
-def _parse_world(v: _V, spec: ScenarioSpec) -> WorldSpec:
-    wv = v.table("world")
-    world_name = "fig4"
-    if wv is not None:
-        world_name = wv.get("name", "str", required=True, choices=WORLDS)
-        wv.finish()
-    sv = v.table("snapshots")
-    checkpoints, interval_ns = 3, 1 * SECOND
-    durable_dir, fsync, resume = "", True, False
-    if sv is not None:
-        checkpoints = sv.get("checkpoints", "int", default=3)
-        interval_ns = _ns(sv.get("interval_ms", "number", default=1000), MS)
-        dv = sv.table("durable")
-        if dv is not None:
-            durable_dir = dv.get("dir", "str", required=True)
-            fsync = dv.get("fsync", "bool", default=True)
-            resume = dv.get("resume", "bool", default=False)
-            dv.finish()
-        sv.finish()
-        if checkpoints < 1:
-            raise sv.error("checkpoints must be >= 1", "checkpoints")
-    return WorldSpec(world=world_name, checkpoints=checkpoints,
-                     interval_ns=interval_ns, durable_dir=durable_dir,
-                     fsync=fsync, resume=resume)
-
-
 # -- entry points --------------------------------------------------------------
 
 
@@ -673,17 +628,10 @@ def parse_scenario(data: Dict[str, Any],
         raise v.error("missing required [scenario] table", "scenario")
     spec = ScenarioSpec(
         name=sv.get("name", "str", required=True),
-        kind=sv.get("kind", "str", default="testbed",
-                    choices=("testbed", "world")),
         seed=sv.get("seed", "int", default=0),
         description=sv.get("description", "str", default=""),
         source=source)
     sv.finish()
-
-    if spec.kind == "world":
-        spec.world = _parse_world(v, spec)
-        v.finish()
-        return spec
 
     nodes = _parse_nodes(v)
     node_names = [n.name for n in nodes]

@@ -1,5 +1,7 @@
 """Tests for the digest library and the CLI entry point."""
 
+import pathlib
+
 import pytest
 
 from repro.analysis.digest import (branch_digest, delay_node_digest,
@@ -9,6 +11,8 @@ from repro.sim import Simulator
 from repro.testbed import (Emulab, ExperimentSpec, LinkSpec, NodeSpec,
                            TestbedConfig)
 from repro.units import MB, MBPS, MS, SECOND
+
+RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
 
 def build_experiment(seed=77):
@@ -74,10 +78,16 @@ def test_cli_info_and_results(capsys):
     out = capsys.readouterr().out
     assert "Transparent Checkpoints" in out
     assert "repro.checkpoint" in out
-    # results: directory exists in this repo after bench runs, or the
-    # command explains what to do; either exit code is well-defined.
-    code = main(["results"])
-    assert code in (0, 1)
+    # results prints each recorded table once and none of the JSON
+    # twins or digest artifacts next to them
+    assert main(["results"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    headers = [path.read_text().splitlines()[0]
+               for path in sorted(RESULTS_DIR.glob("*.txt"))]
+    assert headers
+    for header in headers:
+        assert lines.count(header) == 1, header
+    assert not [line for line in lines if line.startswith("{")]
 
 
 def test_cli_rejects_unknown_command():

@@ -238,24 +238,10 @@ def test_overrides_edit_the_document_before_validation(tmp_path):
 def test_faults_cli_rejects_unknown_crash_agent(capsys):
     from repro.__main__ import main
 
-    assert main(["faults", "--nodes", "3"]) == 2
+    # shrinking the storm to three nodes orphans its node3 crash
+    assert main(["scenario", "ckpt10_faultstorm",
+                 "--set", "nodes[0].count=3"]) == 2
     assert "faults.crashes[0].agent" in capsys.readouterr().out
-
-
-def test_world_kind():
-    spec = parse_scenario({
-        "scenario": {"name": "w", "kind": "world"},
-        "world": {"name": "fig8"},
-        "snapshots": {"checkpoints": 2, "interval_ms": 40}})
-    assert spec.world.world == "fig8"
-    assert spec.world.interval_ns == 40 * MS
-
-
-def test_world_rejects_testbed_tables():
-    with pytest.raises(ScenarioError, match="unknown key"):
-        parse_scenario({
-            "scenario": {"name": "w", "kind": "world"},
-            "nodes": [{"name": "n"}]})
 
 
 def test_json_files_load(tmp_path):

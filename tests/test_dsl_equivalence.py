@@ -1,4 +1,4 @@
-"""Shipped scenario files: validation, race cleanliness, world kinds.
+"""Shipped scenario files: validation, race cleanliness, determinism.
 
 The files under ``examples/scenarios/`` are the only definition of the
 figure experiments; their digests are gated against the stored goldens
@@ -13,7 +13,6 @@ import os
 
 import pytest
 
-from repro.errors import ScenarioError
 from repro.sim import Simulator
 from repro.testbed.compile import (compile_scenario, load_named,
                                    run_scenario_file)
@@ -62,54 +61,22 @@ def test_faultstorm_race_detector_clean():
     assert result.races == 0
 
 
-def test_world_scenario_run_to_run_deterministic():
-    compiled = compile_scenario(
-        load_scenario(scenario_path("snapshot_world.toml")))
-    first = compiled.run()
-    second = compiled.run()
-    assert first.digest == second.digest
-    assert first.details["checkpoints"] == 3
-
-
-def test_world_scenario_durable_commits(tmp_path):
-    spec = load_scenario(scenario_path("snapshot_world.toml"))
-    spec.world = type(spec.world)(
-        world=spec.world.world, checkpoints=2,
-        interval_ns=spec.world.interval_ns,
-        durable_dir=str(tmp_path / "store"), fsync=False)
-    result = compile_scenario(spec).run()
-    assert len(result.details["committed"]) >= 2
-
-
 def test_bench_scenario_file_cli(capsys):
-    from repro.bench.runner import run_scenario_bench
+    from repro.__main__ import main
 
-    assert run_scenario_bench(scenario_path("fig4.toml")) == 0
+    assert main(["scenario", scenario_path("fig4.toml"),
+                 "--repeat", "2"]) == 0
     out = capsys.readouterr().out
     assert "run-to-run determinism: OK" in out
 
 
 def test_bench_rejects_broken_file(tmp_path, capsys):
-    from repro.bench.runner import run_scenario_bench
+    from repro.__main__ import main
 
     bad = tmp_path / "bad.toml"
     bad.write_text('[scenario]\nname = "x"\nbogus = 1\n')
-    assert run_scenario_bench(str(bad)) == 2
+    assert main(["scenario", str(bad), "--repeat", "2"]) == 2
     assert "scenario error" in capsys.readouterr().out
-
-
-def test_world_scenario_rejects_testbed_run_options(capsys):
-    from repro.__main__ import main
-
-    compiled = compile_scenario(
-        load_scenario(scenario_path("snapshot_world.toml")))
-    for option in ({"race": True}, {"tracer": object()},
-                   {"streams": object()}):
-        with pytest.raises(ScenarioError, match="world scenarios"):
-            compiled.run(**option)
-    assert main(["scenario", "--race",
-                 scenario_path("snapshot_world.toml")]) == 2
-    assert "applies only to testbed" in capsys.readouterr().out
 
 
 def _shipped_scenarios():

@@ -1,4 +1,4 @@
-"""Chrome/Perfetto timeline export + the ``repro trace`` acceptance path."""
+"""Chrome/Perfetto timeline export + the ``repro scenario --trace`` path."""
 
 import json
 
@@ -80,19 +80,17 @@ def test_write_chrome_trace_is_valid_json(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_traced_ckpt10_covers_all_stages_on_all_nodes_and_keeps_golden():
-    from repro.bench.runner import _golden_pipeline_digests
     from repro.sim import Simulator
-    from repro.testbed.compile import compile_scenario, load_named
+    from repro.testbed.compile import (compile_scenario, load_goldens,
+                                       load_named)
 
     sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
     digest = compile_scenario(load_named("ckpt10_coordinated")).run(
         sim=sim, tracer=tracer).digest
 
-    golden = _golden_pipeline_digests().get("ckpt10_coordinated")
-    if golden is not None:
-        # Tracing must not move the stored golden by a single bit.
-        assert digest == golden
+    # Tracing must not move the stored golden by a single bit.
+    assert digest == load_goldens()["ckpt10_coordinated"]
 
     events = chrome_trace_events(tracer.records)
     stages = {}
