@@ -153,10 +153,15 @@ def cmd_lint(args) -> int:
 
 def cmd_bench(args) -> int:
     from repro.bench import run_bench, run_profile
+    from repro.errors import ScenarioError
 
-    if args.profile:
-        return run_profile(json_output=args.output)
-    return run_bench(quick=args.quick, output=args.output)
+    try:
+        if args.profile:
+            return run_profile(json_output=args.output)
+        return run_bench(quick=args.quick, output=args.output)
+    except ScenarioError as exc:
+        print(f"bench error: {exc}")
+        return 2
 
 
 def _set_overrides(pairs) -> dict:
@@ -485,7 +490,9 @@ def main(argv=None) -> int:
                        help="JSON artifact path (default: "
                             "BENCH_sim_core.json at repo root; with "
                             "--profile: benchmarks/results/"
-                            "PROFILE_sim_core.json)")
+                            "PROFILE_sim_core.json); the gates always "
+                            "compare against the checked-in "
+                            "BENCH_sim_core.json")
     bench.add_argument("--profile", action="store_true",
                        help="profile the event loop instead: hot-spot "
                             "attribution + trace record counts, written "

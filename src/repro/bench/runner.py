@@ -11,8 +11,12 @@ of a frozen pure-Python heapq loop
 process, so host speed and load cancel out of the gated ratio.
 
 Output goes to ``BENCH_sim_core.json`` at the repository root (or the
-path given with ``--output``); ``repro bench --profile`` writes its
-hot-spot report to ``benchmarks/results/PROFILE_sim_core.json``.
+path given with ``--output``); the regression watch and the
+``event_churn`` gate always compare against the checked-in
+``BENCH_sim_core.json`` (:data:`ARTIFACT_PATH`), and a missing or
+unreadable artifact fails the run before any scenario starts.
+``repro bench --profile`` writes its hot-spot report to
+``benchmarks/results/PROFILE_sim_core.json``.
 Wall-clock reads below are the *host* clock measuring the benchmark
 harness itself, never simulated time — hence the targeted DET001
 suppressions.
@@ -30,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bench.scenarios import (run_calibrator, run_event_churn,
                                    run_fig8, run_pipe_saturation,
                                    run_timer_storm)
+from repro.errors import ScenarioError
 from repro.sim import Simulator
 from repro.testbed.compile import compile_scenario, load_goldens, load_named
 
@@ -37,6 +42,10 @@ from repro.testbed.compile import compile_scenario, load_goldens, load_named
 def _repo_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))))
+
+
+#: the checked-in full-mode artifact every run is compared against
+ARTIFACT_PATH = os.path.join(_repo_root(), "BENCH_sim_core.json")
 
 
 def _time_run(fn: Callable[[], object]) -> Tuple[float, object]:
@@ -428,13 +437,29 @@ _REGRESSION_BUDGET_PCT = 2.0
 _CHURN_BUDGET_PCT = 10.0
 
 
-def _previous_results(path: str) -> Dict[str, Dict]:
-    """Scenario results from the checked-in artifact, if readable."""
+def _previous_results() -> Dict[str, Dict]:
+    """Scenario results from the checked-in artifact (:data:`ARTIFACT_PATH`).
+
+    A missing or unreadable artifact is an error, never an empty table:
+    an empty table would silently switch off the ``event_churn`` gate
+    and the regression watch.
+    """
+    source = os.path.basename(ARTIFACT_PATH)
     try:
-        with open(path) as fh:
-            return json.load(fh).get("scenarios", {})
-    except (OSError, ValueError):
-        return {}
+        with open(ARTIFACT_PATH, encoding="utf-8") as fh:
+            scenarios = json.load(fh)["scenarios"]
+    except OSError as exc:
+        raise ScenarioError(f"cannot read the checked-in bench artifact: "
+                            f"{exc}", source=source) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed bench artifact: {exc!r}",
+                            source=source) from exc
+    churn = scenarios.get("event_churn") if isinstance(scenarios, dict) \
+        else None
+    if not isinstance(churn, dict) or "calibrated_ratio" not in churn:
+        raise ScenarioError("malformed bench artifact: no event_churn "
+                            "calibrated_ratio to gate on", source=source)
+    return scenarios
 
 
 def _drift(before: Dict, after: Dict, key: str,
@@ -462,6 +487,7 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
     ``event_churn``'s calibrated ratio regressed past its budget.
     """
     goldens = load_goldens()
+    previous = _previous_results()
     scenarios = {
         "event_churn": _bench_event_churn,
         "timer_cancel_rearm_storm": lambda: _bench_timer_storm(quick),
@@ -500,8 +526,7 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
         "snapshot_durable": lambda: _bench_snapshot_durable(quick),
     }
     if output is None:
-        output = os.path.join(_repo_root(), "BENCH_sim_core.json")
-    previous = _previous_results(output)
+        output = ARTIFACT_PATH
 
     results: Dict[str, Dict] = {}
     for name, fn in scenarios.items():

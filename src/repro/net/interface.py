@@ -73,9 +73,6 @@ class Interface:
             maybe_record(self.tracer, "if.rx_frozen", iface=self.name,
                          packet=packet)
             return
-        self._deliver_up(packet)
-
-    def _deliver_up(self, packet: Packet) -> None:
         self.rx_packets += 1
         self.rx_bytes += packet.wire_bytes
         if self.tracer is not None and self.tracer.enabled_for("if.rx"):
@@ -108,7 +105,7 @@ class Interface:
         replayed = len(self._rx_ring)
         ring, self._rx_ring = self._rx_ring, []
         for packet in ring:
-            self._deliver_up(packet)
+            self.deliver(packet)
         return replayed
 
     def __repr__(self) -> str:

@@ -27,7 +27,7 @@ from repro.errors import NetworkError
 from repro.net.interface import Interface
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
-from repro.units import GBPS, US, transmission_time_ns
+from repro.units import GBPS, SECOND, US
 
 
 class _Direction:
@@ -95,10 +95,12 @@ class Link:
         if direction.queued >= self.queue_packets:
             direction.drops += 1
             return
-        now = self.sim.now
-        start = max(now, direction.busy_until)
-        finish = start + transmission_time_ns(packet.wire_bytes,
-                                              self.bandwidth_bps)
+        start = self.sim.now
+        if direction.busy_until > start:
+            start = direction.busy_until
+        # inlined transmission_time_ns (ceil division, >= 1 ns)
+        finish = start - (-packet.wire_bytes * 8 * SECOND
+                          // self.bandwidth_bps)
         direction.busy_until = finish
         direction.queued += 1
         arrive = finish + self.propagation_ns

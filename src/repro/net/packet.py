@@ -30,7 +30,7 @@ class Packet:
     payload_bytes: int
     headers: Dict[str, Any] = field(default_factory=dict)
     created_at: int = 0
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     #: bytes occupied on the wire, including framing — precomputed because
     #: every shaping layer reads it (a property was a hot-path cost)
     wire_bytes: int = field(init=False, repr=False, compare=False)

@@ -92,6 +92,8 @@ class TCPConnection:
         self.dupack_count = 0
         self._recovery_point = 0            # NewReno fast-recovery boundary
         self._in_fast_recovery = False
+        #: segment end -> (sent_at, is_retransmit), ordered by end so an
+        #: ACK prunes its acknowledged prefix from the front
         self._segment_times: Dict[int, Tuple[int, bool]] = {}
         self._ca_accumulator = 0            # RFC 3465 byte-counted CA credit
         # --- receiver state ---
@@ -173,52 +175,64 @@ class TCPConnection:
     def _advertised_window(self) -> int:
         return max(0, self.recv_buffer_capacity - self.recv_buffered)
 
-    def _send_window(self) -> int:
-        return min(self.cwnd, self.peer_window)
-
     def _pump(self) -> None:
         """(Re)send as much data as the window permits.
 
         After an RTO collapses ``snd_nxt`` back to ``snd_una`` (go-back-N),
         the region ``[snd_nxt, snd_max)`` is retransmitted before any new
         data is taken from the application queue.
+
+        The send window, the sequence bounds and the guest clock are read
+        once: transmitting never delivers synchronously (links and pipes
+        schedule every arrival), so no ACK can move them inside the loop.
         """
         if self.state != "ESTABLISHED":
             return
-        while self.inflight < self._send_window():
-            rexmit_region = self.snd_max - self.snd_nxt
-            room = self._send_window() - self.inflight
-            # A segment is either entirely a retransmission or entirely
-            # new data — mixing the two would send the new bytes twice.
-            if rexmit_region > 0:
-                length = min(MSS, rexmit_region, room)
-                is_retransmit = True
-            else:
-                length = min(MSS, self.send_queue, room)
-                is_retransmit = False
-            if length <= 0:
-                break
-            self._transmit(ACK, seq=self.snd_nxt, length=length,
-                           is_retransmit=is_retransmit)
-            if is_retransmit:
-                self.stats.retransmits += 1
-            else:
-                self.send_queue -= length
-            self._segment_times[self.snd_nxt + length] = (
-                self.host.timers.now(), is_retransmit)
-            self.snd_nxt += length
-            self.snd_max = max(self.snd_max, self.snd_nxt)
+        snd_una, snd_nxt, snd_max = self.snd_una, self.snd_nxt, self.snd_max
+        window = self.cwnd
+        if self.peer_window < window:
+            window = self.peer_window
+        limit = snd_una + window
+        if snd_nxt < limit:
+            now = self.host.timers.now()
+            times = self._segment_times
+            transmit = self._transmit
+            while snd_nxt < limit:
+                # A segment is either entirely a retransmission or entirely
+                # new data — mixing the two would send the new bytes twice.
+                is_retransmit = snd_nxt < snd_max
+                length = snd_max - snd_nxt if is_retransmit \
+                    else self.send_queue
+                if length > MSS:
+                    length = MSS
+                if length > limit - snd_nxt:
+                    length = limit - snd_nxt
+                if length <= 0:
+                    break
+                transmit(ACK, snd_nxt, length, is_retransmit)
+                if is_retransmit:
+                    self.stats.retransmits += 1
+                else:
+                    self.send_queue -= length
+                snd_nxt += length
+                # no recorded end lies past the old snd_nxt: this insert
+                # keeps the table ordered by end
+                times[snd_nxt] = (now, is_retransmit)
+                self.snd_nxt = snd_nxt
+                if snd_nxt > snd_max:
+                    self.snd_max = snd_max = snd_nxt
         if (self.fin_sent and self.send_queue == 0 and
-                self.inflight == 0 and self.state == "ESTABLISHED"):
+                snd_nxt == snd_una and self.state == "ESTABLISHED"):
             self.state = "FIN_WAIT"
-            self._transmit(FIN, seq=self.snd_nxt, length=0)
-        if self.inflight > 0 and self._rto_timer is None:
+            self._transmit(FIN, seq=snd_nxt, length=0)
+        if snd_nxt > snd_una and self._rto_timer is None:
             self._arm_rto()
 
     def _transmit(self, flags: str, seq: int, length: int,
                   is_retransmit: bool = False) -> None:
-        window = self._advertised_window()
-        if window == 0:
+        window = self.recv_buffer_capacity - self.recv_buffered
+        if window <= 0:                     # inlined _advertised_window
+            window = 0
             self.stats.zero_window_advertisements += 1
         packet = Packet(
             src=self.host.name, dst=self.remote_addr, protocol="tcp",
@@ -318,7 +332,13 @@ class TCPConnection:
         length = min(MSS, self.inflight)
         self.stats.retransmits += 1
         end = self.snd_una + length
-        self._segment_times[end] = (self.host.timers.now(), True)
+        times = self._segment_times
+        # The one insert that can break the end-ordering: an end that
+        # falls inside an original segment (sub-MSS segments went out).
+        reorder = end not in times and end < next(reversed(times), end)
+        times[end] = (self.host.timers.now(), True)
+        if reorder:
+            self._segment_times = dict(sorted(times.items()))
         self._transmit(ACK, seq=self.snd_una, length=length,
                        is_retransmit=True)
 
@@ -402,7 +422,8 @@ class TCPConnection:
             acked = ack - self.snd_una
             self.stats.bytes_acked += acked
             self.snd_una = ack
-            self.snd_nxt = max(self.snd_nxt, ack)
+            if ack > self.snd_nxt:
+                self.snd_nxt = ack
             self.dupack_count = 0
             self._rto_backoff = 1
             if self._recovery_span is not None and \
@@ -410,8 +431,11 @@ class TCPConnection:
                 self._recovery_span.end(outcome="recovered", acked=ack)
                 self._recovery_span = None
             self._sample_rtt(ack)
-            self._segment_times = {end: v for end, v in
-                                   self._segment_times.items() if end > ack}
+            # _segment_times is ordered by end: drop the acknowledged
+            # prefix, so an ACK costs what it acknowledges, not the window
+            times = self._segment_times
+            for end in list(itertools.takewhile(ack.__ge__, times)):
+                del times[end]
             if self._in_fast_recovery:
                 if ack >= self._recovery_point:
                     # Full recovery: deflate to ssthresh.
@@ -658,7 +682,7 @@ class TCPConnection:
         self._in_fast_recovery = state["in_fast_recovery"]
         self._segment_times = {end: (sent_at, rexmit) for
                                end, sent_at, rexmit in
-                               state["segment_times"]}
+                               sorted(state["segment_times"])}
         self._ca_accumulator = state["ca_accumulator"]
         self.rcv_nxt = state["rcv_nxt"]
         self._unacked_segments = state["unacked_segments"]

@@ -18,12 +18,12 @@ from repro.testbed.services import DNSRecord, DNSServer, rpc
 from repro.testbed.dsl import (ScenarioSpec, load_scenario, parse_scenario,
                                substitute_placeholders)
 from repro.testbed.compile import (CompiledScenario, ScenarioResult,
-                                   compile_scenario, run_scenario_file)
+                                   compile_scenario)
 
 __all__ = [
     "CompiledScenario", "ScenarioResult", "ScenarioSpec",
     "compile_scenario", "load_scenario", "parse_scenario",
-    "run_scenario_file", "substitute_placeholders",
+    "substitute_placeholders",
     "CONTROL_NET_BULK_RATE", "ControlNetwork", "AllocatedNode", "Emulab",
     "Experiment", "TestbedConfig", "EventAgent", "EventScheduler",
     "FiredEvent", "SchedulerPlacement", "ActivitySample", "IdlePolicy",

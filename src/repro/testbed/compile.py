@@ -46,7 +46,7 @@ from repro.units import MB, MS, SECOND
 
 __all__ = ["CompiledScenario", "GOLDEN_PATH", "NAMED_SCENARIOS",
            "SCENARIO_DIR", "ScenarioResult", "compile_scenario",
-           "load_goldens", "load_named", "run_scenario_file"]
+           "load_goldens", "load_named"]
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))))
@@ -331,12 +331,3 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         raise ScenarioError("scenario has no nodes",
                             path="nodes", source=spec.source)
     return CompiledScenario(spec)
-
-
-def run_scenario_file(path: str, sim: Optional[Simulator] = None,
-                      race: bool = False,
-                      env: Optional[Dict[str, str]] = None
-                      ) -> ScenarioResult:
-    """Load + compile + run one scenario file in a single call."""
-    return compile_scenario(load_scenario(path, env=env)).run(sim=sim,
-                                                              race=race)

@@ -14,8 +14,7 @@ import os
 import pytest
 
 from repro.sim import Simulator
-from repro.testbed.compile import (compile_scenario, load_named,
-                                   run_scenario_file)
+from repro.testbed.compile import compile_scenario, load_named
 from repro.testbed.dsl import load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -32,7 +31,8 @@ def scenario_path(name: str) -> str:
 
 
 def test_fig4_matches_hand_wired_and_golden():
-    result = run_scenario_file(scenario_path("fig4.toml"), sim=Simulator())
+    result = compile_scenario(load_scenario(scenario_path("fig4.toml"))).run(
+        sim=Simulator())
     named = compile_scenario(load_named("fig4_sleep")).run()
     assert result.digest == named.digest
     assert result.digest == GOLDEN["fig4_sleep"]
@@ -40,14 +40,15 @@ def test_fig4_matches_hand_wired_and_golden():
 
 
 def test_fig4_race_detector_clean():
-    result = run_scenario_file(scenario_path("fig4.toml"), race=True)
+    result = compile_scenario(load_scenario(scenario_path("fig4.toml"))).run(
+        race=True)
     assert result.races == 0
     assert result.digest == GOLDEN["fig4_sleep"]
 
 
 def test_ckpt10_matches_hand_wired_and_golden():
-    result = run_scenario_file(
-        scenario_path("ckpt10_coordinated.toml"), sim=Simulator())
+    result = compile_scenario(load_scenario(
+        scenario_path("ckpt10_coordinated.toml"))).run(sim=Simulator())
     named = compile_scenario(load_named("ckpt10_coordinated")).run()
     assert result.digest == named.digest
     assert result.digest == GOLDEN["ckpt10_coordinated"]
@@ -56,8 +57,8 @@ def test_ckpt10_matches_hand_wired_and_golden():
 
 
 def test_faultstorm_race_detector_clean():
-    result = run_scenario_file(scenario_path("ckpt10_faultstorm.toml"),
-                               race=True)
+    result = compile_scenario(load_scenario(
+        scenario_path("ckpt10_faultstorm.toml"))).run(race=True)
     assert result.races == 0
 
 

@@ -1,11 +1,13 @@
 """Unit tests for the TCP implementation."""
 
+import json
 import random
 
 import pytest
 
 from repro.net import (Host, Interface, Link, LinkShape, MSS, Packet,
                        TCPStack, install_shaped_link)
+from repro.net.tcp import TCPConnection
 from repro.sim import Simulator
 from repro.units import GBPS, MB, MBPS, MS, SECOND, US
 
@@ -185,3 +187,150 @@ def test_out_of_order_delivery_generates_dupacks_and_recovers():
     server.handle(seg(0, MSS))              # hole filled
     assert server.bytes_delivered == 2 * MSS
     assert server.rcv_nxt == 2 * MSS
+
+
+# --------------------------------------------------------------- ACK path
+
+class SegmentTimesModel:
+    """A reference model of the sender's segment-timestamp table.
+
+    Every data segment sent records ``end -> (sent_at, is_retransmit)``;
+    an ACK of new data keeps exactly the entries ending above it
+    (``{e: v for e, v in before.items() if e > ack}``); an RTO that
+    goes back N forgets them all.  After every processed ACK (and RTO)
+    the connection's table must equal the model, keys and values.
+    """
+
+    def __init__(self, monkeypatch):
+        self.tables = {}
+        self.acks_checked = 0
+        on_ack = TCPConnection._on_ack_field
+        transmit = TCPConnection._transmit
+        on_rto = TCPConnection._on_rto
+        model = self
+
+        def _on_ack_field(conn, h):
+            table = model.tables.setdefault(conn, {})
+            ack = h["ack"]
+            if ack > conn.snd_una:
+                # the prune comes before any (re)transmission of this ACK
+                model.tables[conn] = {e: v for e, v in table.items()
+                                      if e > ack}
+            on_ack(conn, h)
+            model.check(conn)
+            model.acks_checked += 1
+
+        def _transmit(conn, flags, seq, length, is_retransmit=False):
+            transmit(conn, flags, seq, length, is_retransmit)
+            if length > 0:
+                model.tables.setdefault(conn, {})[seq + length] = (
+                    conn.host.timers.now(), is_retransmit)
+
+        def _on_rto(conn):
+            if conn.state != "SYN_SENT" and conn.inflight > 0:
+                model.tables[conn] = {}
+            on_rto(conn)
+            model.check(conn)
+
+        monkeypatch.setattr(TCPConnection, "_on_ack_field", _on_ack_field)
+        monkeypatch.setattr(TCPConnection, "_transmit", _transmit)
+        monkeypatch.setattr(TCPConnection, "_on_rto", _on_rto)
+
+    def check(self, conn):
+        assert conn._segment_times == self.tables.get(conn, {})
+
+    def restored(self, conn, state):
+        """``conn`` was restored from ``state``: the model restarts there."""
+        self.tables[conn] = {end: (sent_at, rexmit)
+                             for end, sent_at, rexmit in state["segment_times"]}
+        self.check(conn)
+
+
+def ack_from_peer(conn, ack, win):
+    """A pure ACK as ``conn``'s peer would send it."""
+    return Packet(conn.remote_addr, conn.host.name, "tcp", 0, headers={
+        "sport": conn.remote_port, "dport": conn.local_port,
+        "flags": "ACK", "seq": 0, "ack": ack, "len": 0, "win": win,
+        "retransmit": False})
+
+
+def test_ack_path_matches_reference_model_in_slow_start(monkeypatch):
+    model = SegmentTimesModel(monkeypatch)
+    sim = Simulator()
+    ha, hb = direct_pair(sim)
+    client, server = connect(sim, ha, hb)
+    client.send(1 * MB)
+    sim.run(until=sim.now + 2 * SECOND)
+    assert server.bytes_delivered == 1 * MB
+    assert client.cwnd < client.ssthresh           # never left slow start
+    assert model.acks_checked > 300
+    assert client._segment_times == {}
+
+
+def test_ack_path_matches_reference_model_across_partial_acks(monkeypatch):
+    # A receive window of 5000 bytes cuts the stream into segments that
+    # are not MSS-aligned, so the NewReno partial ACK's retransmission
+    # [4344, 5792) spans the original segments ending at 5000 and 6448:
+    # its end is recorded below ends already in the table.
+    model = SegmentTimesModel(monkeypatch)
+    sim = Simulator()
+    ha, hb = direct_pair(sim)
+    client, _server = connect(sim, ha, hb)
+    win = 5000
+    checked = model.acks_checked
+    # The sim is not run again: every ACK below is hand-delivered.
+    client.handle(ack_from_peer(client, 0, win))
+    client.send(100_000)
+    assert sorted(client._segment_times) == [1448, 2896, 4344, 5000]
+    client.handle(ack_from_peer(client, 2896, win))
+    assert sorted(client._segment_times) == [4344, 5000, 6448, 7896]
+    for _ in range(3):
+        client.handle(ack_from_peer(client, 2896, win))
+    assert client.stats.fast_retransmits == 1
+    client.handle(ack_from_peer(client, 4344, win))        # partial ACK
+    assert client._in_fast_recovery
+    assert client._segment_times[5792][1] is True
+    assert sorted(client._segment_times) == [5000, 5792, 6448, 7896, 9344]
+    client.handle(ack_from_peer(client, 6448, win))        # partial ACK
+    assert sorted(client._segment_times) == [7896, 9344, 10792, 11448]
+    client.handle(ack_from_peer(client, 9344, win))        # full recovery
+    assert not client._in_fast_recovery
+    assert min(client._segment_times) > 9344
+    assert model.acks_checked - checked == 8
+
+
+def test_ack_path_matches_reference_model_after_rto_go_back_n(monkeypatch):
+    model = SegmentTimesModel(monkeypatch)
+    sim = Simulator()
+    ha, hb = direct_pair(sim)
+    client, server = connect(sim, ha, hb)
+    client.send(2 * MB)
+    sim.run(until=sim.now + 5 * MS)
+    # The receiver's NIC holds every arrival for 3 s: no ACK comes back,
+    # the RTO fires and goes back N; the thaw then replays the ring.
+    nic = hb.interfaces["B.0"]
+    nic.freeze()
+    sim.run(until=sim.now + 3 * SECOND)
+    assert client.stats.timeouts >= 1
+    nic.thaw()
+    sim.run(until=sim.now + 10 * SECOND)
+    assert server.bytes_delivered == 2 * MB
+    assert client.stats.retransmits > 0
+    assert model.acks_checked > 300
+
+
+def test_ack_path_matches_reference_model_across_restore(monkeypatch):
+    model = SegmentTimesModel(monkeypatch)
+    sim = Simulator()
+    ha, hb = direct_pair(sim)
+    client, server = connect(sim, ha, hb)
+    client.send(1 * MB)
+    sim.run(until=sim.now + 3 * MS)
+    assert 0 < client.inflight
+    state = json.loads(json.dumps(client.serialize_state()))
+    assert state["segment_times"]
+    client.restore_state(state)
+    model.restored(client, state)
+    sim.run(until=sim.now + 2 * SECOND)
+    assert server.bytes_delivered == 1 * MB
+    assert client._segment_times == {}

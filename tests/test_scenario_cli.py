@@ -46,6 +46,24 @@ def test_named_run_fails_without_its_golden_file(monkeypatch, capsys):
     assert "cannot read golden digests" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    None, "{not json", '{"scenarios": {}}',
+    '{"scenarios": {"event_churn": {"seconds": 1.0}}}'])
+def test_bench_fails_without_the_checked_in_artifact(monkeypatch, tmp_path,
+                                                     capsys, text):
+    # --output elsewhere must not switch the comparison to that (fresh)
+    # path: the gates read the checked-in artifact, or the run fails
+    artifact = tmp_path / "BENCH_sim_core.json"
+    if text is not None:
+        artifact.write_text(text)
+    monkeypatch.setattr("repro.bench.runner.ARTIFACT_PATH", str(artifact))
+    output = tmp_path / "new.json"
+    assert main(["bench", "--quick", "--output", str(output)]) == 2
+    out = capsys.readouterr().out
+    assert "bench error: BENCH_sim_core.json: " in out
+    assert not output.exists()
+
+
 # ------------------------------------------------------------ gates
 
 def _fake_runs(monkeypatch, digests):
