@@ -193,7 +193,9 @@ class TCPConnection:
         if self.peer_window < window:
             window = self.peer_window
         limit = snd_una + window
-        if snd_nxt < limit:
+        # a receiver pumps on every data segment it takes in, mostly
+        # with nothing to send: skip the clock read then
+        if snd_nxt < limit and (snd_nxt < snd_max or self.send_queue > 0):
             now = self.host.timers.now()
             times = self._segment_times
             transmit = self._transmit
@@ -520,7 +522,8 @@ class TCPConnection:
         filled_gap = bool(self._ooo)
         delivered = end - self.rcv_nxt
         self.rcv_nxt = end
-        self._drain_ooo()
+        if filled_gap:
+            self._drain_ooo()
         self._deliver(delivered)
         if filled_gap:
             # RFC 5681: ack immediately when a segment fills a hole, so
