@@ -375,6 +375,8 @@ def _cmd_snapshot_durable(args) -> int:
     if args.resume and stats["resumes"]:
         print(f"resumed from the deepest durable snapshot "
               f"(restores={stats['restores']}, "
+              f"continues={stats['continues']}, "
+              f"replays={stats['replays']}, "
               f"degraded={stats['degraded']})")
     print(f"committed: {result['committed']}")
     print(f"virtual time: {result['virtual_now'] / 1e6:.1f}ms  "

@@ -1,23 +1,50 @@
-"""Time-travel sessions (§6): restore-then-run with replay fallback.
+"""Time-travel sessions (§6): navigation from the latest exact state.
 
 The paper's prototype captures a run by frequent checkpointing and
 implements backward navigation by restarting the experiment from a saved
-image.  This controller implements **both** classical realizations of
-that interface and picks per navigation:
+image.  ``travel_to(node)`` starts from the **latest exact state at or
+before the target** and runs forward the remaining virtual time.  There
+are three kinds of start point:
 
+* **The live run** — when the target lies ahead of it: no perturbation
+  is pending, the target lies strictly below :attr:`position` through
+  edges that carry no perturbations, and the run has not passed the
+  target's virtual time.  The controller then only advances it.
 * **True snapshot/restore** — when the run exposes
   ``snapshot_providers()`` (see :mod:`repro.timetravel.scenarios`), each
   checkpoint also serializes every provider into a
   :class:`~repro.checkpoint.snapshot.SnapshotStore` (content-hash
-  chunked, deduplicated, delta-accounted).  ``travel_to`` then restores
-  the nearest eligible snapshot into a freshly built cold world and runs
-  forward — O(state + distance-from-snapshot), not O(history).
-* **Deterministic re-execution** — the original fallback: rebuild the
-  world with the target's perturbation history and replay from the
-  origin, exactly what deterministic-replay time-travel systems (TTVM,
-  ReVirt) do from a log.  It remains the cross-check oracle:
-  :meth:`TimeTravelController.verify_restore` asserts both paths land on
-  bit-identical state digests.
+  chunked, deduplicated, delta-accounted).  The deepest eligible
+  snapshot on the target's ancestor path is restored into a freshly
+  built cold world — O(state + distance-from-snapshot), not O(history).
+* **Deterministic re-execution** — rebuild the world with the target's
+  perturbation history and replay from the origin, exactly what
+  deterministic-replay time-travel systems (TTVM, ReVirt) do from a log.
+
+The rule: a snapshot strictly later than the live run beats it, the live
+run beats the origin, and a snapshot that fails validation counts as a
+fallback and leaves the navigation to the next candidate.
+``restore_stats`` counts every navigation under ``restores``,
+``continues`` or ``replays``.  Navigating to :attr:`position` itself
+never continues; that is how a caller discards the live run.
+
+Continuing is exact for two reasons.  Running to an integer horizon
+schedules nothing, so ``advance_to(a); advance_to(b)`` is
+``advance_to(b)``.  And the live run is always ``factory(seed,
+history(position) + pending)``, advanced: the constructor builds it so,
+a navigation lands on a run that equals it, and the live run changes
+only through :meth:`run_to` (forward), :meth:`perturb` (a rebuild with
+the new history) and :meth:`checkpoint` (whose capture leaves the event
+frontier and the state digest as they were).  Code that mutates
+:attr:`active_run` any other way breaks the contract; ``travel_to`` the
+position to rebuild it.  ``tests/test_timetravel.py`` pins all of this
+against fresh replays on random sessions.
+
+Replay remains the cross-check oracle, and neither oracle ever starts
+from the live run: :meth:`TimeTravelController.verify_restore` asserts
+restore-then-run and a fresh replay land on bit-identical state digests,
+and :meth:`TimeTravelController.verify_reproducibility` compares two
+fresh replays.
 
 A snapshot is *eligible* for a target node only when its captured
 perturbation history equals the target's full history: arming an extra
@@ -102,11 +129,11 @@ class TimeTravelController:
         self.snapshot_ids: Dict[int, str] = {}
         #: node_id -> perturbation history the snapshot was taken under
         self._snapshot_histories: Dict[int, tuple] = {}
-        #: how navigations were served: restore / replay / restore
-        #: failed / re-attached after process death / damaged snapshots
-        #: skipped for an intact ancestor
+        #: how navigations were served: restore / replay / continued
+        #: live run / restore failed / re-attached after process death /
+        #: damaged snapshots skipped for an intact ancestor
         self.restore_stats: Dict[str, int] = {
-            "restores": 0, "replays": 0, "fallbacks": 0,
+            "restores": 0, "replays": 0, "continues": 0, "fallbacks": 0,
             "resumes": 0, "degraded": 0}
         capture = capture_run_snapshot(self.active_run)
         root = self.tree.add(None, self.active_run.virtual_now(),
@@ -253,44 +280,88 @@ class TimeTravelController:
     def travel_to(self, node_id: int) -> ReplayableRun:
         """Rollback (or fast-forward) to a checkpoint in the tree.
 
-        Prefers restore-then-run: restore the deepest eligible ancestor
-        snapshot into a cold world and run forward the remaining virtual
-        time — O(state + distance), independent of how long the run has
-        executed.  Falls back to rebuilding the world with the
-        checkpoint's perturbation history and replaying from the origin
-        when no snapshot is eligible or the restore fails validation.
+        Starts from the latest exact state at or before the target and
+        runs forward the remaining virtual time.  The candidates, latest
+        first: an eligible snapshot on the target's ancestor path, the
+        live run (:meth:`_live_start_ns`), and a replay from the origin.
+        A snapshot strictly later than the live run is restored; a
+        snapshot that fails validation counts as a fallback and leaves
+        the navigation to the next candidate.  ``restore_stats`` counts
+        which start served each navigation.
         """
         node = self.tree.node(node_id)
         history = self.tree.perturbations_along(node_id)
-        run = self._try_restore(node, history)
+        live_ns = self._live_start_ns(node)
+        run = self._restore(node, history, later_than_ns=live_ns)
         if run is not None:
             self.restore_stats["restores"] += 1
+        elif live_ns is not None:
+            self.restore_stats["continues"] += 1
+            run = self.active_run
+            run.advance_to(node.virtual_time_ns)
         else:
             self.restore_stats["replays"] += 1
-            run = self.factory(self.seed, history)
-            run.advance_to(node.virtual_time_ns)
+            run = self._replay(node, history)
         self.active_run = run
         self._position = node
         self._pending_perturbations = []
         return run
 
-    def _try_restore(self, node: TreeNode,
-                     history: List[Perturbation]) -> Optional[ReplayableRun]:
-        """Restore the deepest eligible snapshot at or above ``node``.
+    def _live_start_ns(self, node: TreeNode) -> Optional[int]:
+        """The live run's virtual time, if continuing it reaches ``node``
+        exactly; None otherwise.
 
-        A snapshot is eligible only when its captured perturbation
-        history equals the target's *full* history: arming a missing
-        perturbation after the restore would draw a fresh event-store
-        sequence number and diverge from the replayed world's
-        tie-breaking.  Validation failures (corrupted chunks, schema
-        drift, non-cold target) count as fallbacks and leave replay to
-        serve the navigation; they never surface partial state.
+        The live run is ``factory(seed, history(position) + pending)``
+        advanced, and advancing in steps equals advancing in one go, so
+        it is an exact start when no perturbation is pending, ``node``
+        lies strictly below :attr:`position` through edges that carry no
+        perturbations, and the run has not passed ``node``'s time.
+        Navigating to :attr:`position` itself never continues: that is
+        how a caller discards the live run and rebuilds it.
+        """
+        if self._pending_perturbations or \
+                node.node_id == self._position.node_id:
+            return None
+        now = self.active_run.virtual_now()
+        if now > node.virtual_time_ns:
+            return None
+        step = node
+        while step.node_id != self._position.node_id:
+            if step.perturbations or step.parent_id is None:
+                return None
+            step = self.tree.node(step.parent_id)
+        return now
+
+    def _replay(self, node: TreeNode,
+                history: List[Perturbation]) -> ReplayableRun:
+        """A fresh run from the origin, advanced to ``node``."""
+        run = self.factory(self.seed, history)
+        run.advance_to(node.virtual_time_ns)
+        return run
+
+    def _restore(self, node: TreeNode, history: List[Perturbation],
+                 later_than_ns: Optional[int] = None
+                 ) -> Optional[ReplayableRun]:
+        """Restore the deepest eligible snapshot at or above ``node``
+        and run it forward to ``node``; None if there is none.
+
+        Snapshots taken at or before ``later_than_ns`` are not
+        candidates.  A snapshot is eligible only when its captured
+        perturbation history equals the target's *full* history: arming
+        a missing perturbation after the restore would draw a fresh
+        event-store sequence number and diverge from the replayed
+        world's tie-breaking.  Validation failures (corrupted chunks,
+        schema drift, non-cold target) count as fallbacks and return
+        None; they never surface partial state.
         """
         restore_fn = getattr(self.active_run, "restore_from", None)
         if restore_fn is None:
             return None
         target_history = tuple(history)
         for ancestor in reversed(self.tree.path_to(node.node_id)):
+            if later_than_ns is not None and \
+                    ancestor.virtual_time_ns <= later_than_ns:
+                return None
             sid = self.snapshot_ids.get(ancestor.node_id)
             if sid is None:
                 continue
@@ -330,30 +401,32 @@ class TimeTravelController:
     # ------------------------------------------------------------------ queries
 
     def verify_reproducibility(self, node_id: int) -> bool:
-        """Replay ``node_id`` twice; True if the state digests agree."""
-        first = self.travel_to(node_id).state_digest()
-        second = self.travel_to(node_id).state_digest()
-        return first == second
+        """Replay ``node_id`` twice from the origin; True if the state
+        digests agree.  Both replays are fresh runs: neither is the live
+        run, and neither replaces it."""
+        node = self.tree.node(node_id)
+        history = self.tree.perturbations_along(node_id)
+        first = self._replay(node, history).state_digest()
+        return self._replay(node, history).state_digest() == first
 
     def verify_restore(self, node_id: int) -> bool:
         """Cross-check restore-then-run against replay-from-origin.
 
         Restores the deepest eligible snapshot and runs to ``node_id``'s
         virtual time, replays a second world from the origin with the
-        same perturbation history, and compares state digests.  The
-        digest commits to every provider's serialized payload — machine
-        histories, RNG positions, and the pending-event frontier — so
-        agreement means the two worlds are observably the same world.
-        Raises :class:`TimeTravelError` when no snapshot is eligible
-        (there is nothing to verify against).
+        same perturbation history, and compares state digests.  Neither
+        side is the live run.  The digest commits to every provider's
+        serialized payload — machine histories, RNG positions, and the
+        pending-event frontier — so agreement means the two worlds are
+        observably the same world.  Raises :class:`TimeTravelError` when
+        no snapshot is eligible (there is nothing to verify against).
         """
         node = self.tree.node(node_id)
         history = self.tree.perturbations_along(node_id)
-        restored = self._try_restore(node, history)
+        restored = self._restore(node, history)
         if restored is None:
             raise TimeTravelError(
                 f"no eligible snapshot for node {node_id}; "
                 f"nothing to cross-check")
-        replayed = self.factory(self.seed, history)
-        replayed.advance_to(node.virtual_time_ns)
+        replayed = self._replay(node, history)
         return restored.state_digest() == replayed.state_digest()

@@ -125,8 +125,8 @@ def test_controller_serves_navigation_from_snapshots(kind):
         run = ctl.travel_to(node.node_id)
         assert run.virtual_now() == node.virtual_time_ns
     assert ctl.restore_stats == {"restores": 3, "replays": 0,
-                                 "fallbacks": 0, "resumes": 0,
-                                 "degraded": 0}
+                                 "continues": 0, "fallbacks": 0,
+                                 "resumes": 0, "degraded": 0}
     # the oracle: restore-then-run == replay-from-origin, per node
     for node in nodes:
         assert ctl.verify_restore(node.node_id)
@@ -175,6 +175,25 @@ def test_controller_falls_back_to_replay_on_corruption():
     assert ctl.verify_reproducibility(nodes[1].node_id)
 
 
+def test_failed_restore_falls_back_to_the_live_run():
+    ctl, nodes = controller_with_chain("fig4")
+    ctl.travel_to(nodes[0].node_id)
+    for sid in list(ctl.snapshots.order):
+        rec = ctl.snapshots.manifest(sid).providers[0]
+        ctl.snapshots.chunks.corrupt(rec.chunks[0])
+    # the target's snapshot is later than the live run but unusable; the
+    # live run is the next-latest exact start
+    live = ctl.active_run
+    run = ctl.travel_to(nodes[2].node_id)
+    assert run is live
+    assert ctl.restore_stats["fallbacks"] == 1
+    assert ctl.restore_stats["continues"] == 1
+    assert ctl.restore_stats["replays"] == 0
+    replayed = world_factory("fig4")(3, [])
+    replayed.advance_to(nodes[2].virtual_time_ns)
+    assert run.state_digest() == replayed.state_digest()
+
+
 def test_controller_without_snapshot_support_replays():
     class Bare:
         """Implements only the ReplayableRun protocol."""
@@ -201,8 +220,8 @@ def test_controller_without_snapshot_support_replays():
     assert ctl.snapshot_ids == {}
     ctl.travel_to(node.node_id)
     assert ctl.restore_stats == {"restores": 0, "replays": 1,
-                                 "fallbacks": 0, "resumes": 0,
-                                 "degraded": 0}
+                                 "continues": 0, "fallbacks": 0,
+                                 "resumes": 0, "degraded": 0}
 
 
 # -- refusal paths -------------------------------------------------------------
