@@ -59,6 +59,11 @@ class VirtualClock:
         """Virtual wall-clock time (epoch + virtual time)."""
         return self.epoch_wall_ns + self.now()
 
+    def at(self, t: int) -> int:
+        """Unfrozen virtual time at true time ``t`` under the current offset
+        (exact for any ``t`` since the last thaw)."""
+        return t - self._hidden
+
     def freeze(self) -> None:
         """Stop the clock at its current value."""
         if self._frozen:

@@ -34,9 +34,13 @@ class Oscillator:
         self.boot_ticks = boot_ticks
         self._effective_hz = freq_hz * (1.0 + drift_ppm * 1e-6)
 
+    def ticks_at(self, t: int) -> int:
+        """Tick count at true time ``t`` (pure: reads no simulator state)."""
+        return self.boot_ticks + int(t * self._effective_hz / SECOND)
+
     def read(self) -> int:
         """Current tick count."""
-        return self.boot_ticks + int(self.sim.now * self._effective_hz / SECOND)
+        return self.ticks_at(self.sim.now)
 
     def ticks_to_ns(self, ticks: int) -> int:
         """Convert a tick interval to nanoseconds of *nominal* time.
@@ -65,6 +69,7 @@ class GuestTSC:
         self.oscillator = oscillator
         self._restricted = False
         self._frozen_value = 0
+        self._hidden = 0
 
     @property
     def restricted(self) -> bool:
@@ -88,11 +93,15 @@ class GuestTSC:
             raise ClockError("guest TSC is not restricted")
         self._restricted = False
         # Everything the hardware counted while frozen becomes invisible.
-        self._hidden = getattr(self, "_hidden", 0)
         self._hidden += self.oscillator.read() - self._frozen_value
 
     def read(self) -> int:
         """Guest RDTSC."""
         if self._restricted:
             return self._frozen_value
-        return self.oscillator.read() - getattr(self, "_hidden", 0)
+        return self.read_at(self.oscillator.sim.now)
+
+    def read_at(self, t: int) -> int:
+        """What an unrestricted read at true time ``t`` returns under the
+        current offset (exact for any ``t`` since the last unrestrict)."""
+        return self.oscillator.ticks_at(t) - self._hidden

@@ -28,7 +28,7 @@ from repro.lint.graph import (PROJECT_RULES, ProjectIndex, all_project_codes,
                               build_index, check_project)
 from repro.lint.rules import RULES, Rule, all_codes
 from repro.lint.runtime import (EventRace, EventRaceDetector,
-                                ShadowRunReport, shadow_run, trace_digest)
+                                ShadowRunReport, shadow_run)
 from repro.lint.statecheck import (FieldDivergence, StateCheck,
                                    StateCheckReport, field_digests,
                                    fingerprint)
@@ -40,7 +40,6 @@ __all__ = [
     "PROJECT_RULES", "ProjectIndex", "all_project_codes", "build_index",
     "check_project",
     "EventRace", "EventRaceDetector", "ShadowRunReport", "shadow_run",
-    "trace_digest",
     "FieldDivergence", "StateCheck", "StateCheckReport", "field_digests",
     "fingerprint",
 ]

@@ -23,7 +23,6 @@ back it up:
 
 from __future__ import annotations
 
-import hashlib
 import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -249,8 +248,9 @@ def shadow_run(scenario: Callable[[RandomStreams], Any],
 
     ``scenario`` builds a fresh simulation from the given streams, runs it,
     and returns a comparable digest (e.g. ``experiment_digest(...)`` or
-    :func:`trace_digest`).  A deterministic scenario yields identical
-    digests; any divergence means hidden ordering dependence.
+    :func:`repro.analysis.digest.trace_digest`).  A deterministic scenario
+    yields identical digests; any divergence means hidden ordering
+    dependence.
     """
     recording = RecordingStreams(seed)
     digest_a = scenario(recording)
@@ -259,11 +259,3 @@ def shadow_run(scenario: Callable[[RandomStreams], Any],
     return ShadowRunReport(digest_a, digest_b,
                            streams_requested=list(recording.requested))
 
-
-def trace_digest(tracer) -> str:
-    """Stable hex digest of a :class:`~repro.obs.trace.Tracer`'s records."""
-    h = hashlib.sha256()
-    for record in tracer.records:
-        h.update(repr((record.time, record.category,
-                       sorted(record.fields.items()))).encode("utf-8"))
-    return h.hexdigest()

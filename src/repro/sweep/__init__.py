@@ -6,7 +6,7 @@ count.  :func:`~repro.sweep.runner.run_sweep` expands the cross-product
 deterministically, runs every expansion in a worker process, and
 aggregates digests/metrics/failures into one report with a
 digest-agreement check across repeated runs — thousands of cheap
-deterministic runs instead of one big one (ROADMAP item 2).
+deterministic runs instead of one big one.
 """
 
 from repro.sweep.grid import SweepPlan, expand_grid, load_sweep

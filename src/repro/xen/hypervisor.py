@@ -6,13 +6,18 @@ with RDTSC between updates (§4.2).  During a checkpoint the hypervisor
 stops page updates, restricts the guest TSC, and suspends run-state
 accounting — those are the hooks :class:`Domain` wires into the guest
 kernel's ``on_time_frozen`` / ``on_time_thawed`` callbacks.
+
+The periodic updates cost no events: :class:`SharedInfoPage` computes its
+fields when read, as of the last update tick, and is written out when it
+is frozen.  When ``DomainProvider`` learns to serialize a domain, it must
+carry the page's fields, its ``updates`` count and the instant the page
+was last brought up to date (its anchor, ``_synced_ns``).
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import CheckpointError
@@ -35,20 +40,83 @@ class RunState(enum.Enum):
     OFFLINE = "offline"
 
 
-@dataclass
+def _page_field(name: str) -> property:
+    def read(page: "SharedInfoPage") -> int:
+        page._catch_up()
+        return getattr(page, name)
+    return property(read)
+
+
 class SharedInfoPage:
     """The guest-visible time page.
 
     ``system_time_ns`` is the guest's virtual system time at the moment of
     the last update, paired with the TSC value then; the guest interpolates
     between updates by scaling TSC deltas.
+
+    Xen rewrites the page every ``Hypervisor.PAGE_UPDATE_PERIOD_NS`` on a
+    grid that starts when the hypervisor's first domain is created.  The
+    model does no work per tick: a read brings the fields up to the last
+    grid tick at or before now, and ``updates`` counts the ticks at which
+    the page was unfrozen.  The values at a past tick are exact, because
+    nothing moves the guest's clock offsets while the page is unfrozen.
+    Setting ``frozen`` brings the page up to date first, so a frozen page
+    holds its last pre-freeze values.  A tick at the freeze instant counts;
+    a tick at the thaw instant does not (Xen found the page frozen then).
     """
 
-    system_time_ns: int = 0
-    wall_time_ns: int = 0
-    tsc_at_update: int = 0
-    updates: int = 0
-    frozen: bool = False
+    system_time_ns = _page_field("_system_time_ns")
+    wall_time_ns = _page_field("_wall_time_ns")
+    tsc_at_update = _page_field("_tsc_at_update")
+    updates = _page_field("_updates")
+
+    def __init__(self, domain: "Domain") -> None:
+        self._domain = domain
+        self._frozen = False
+        self._updates = 0
+        self._synced_ns = domain.sim.now
+        self.update()
+        if domain.sim.now == domain.hypervisor.grid_origin_ns:
+            self._updates += 1        # the grid's first tick
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    @frozen.setter
+    def frozen(self, value: bool) -> None:
+        self._catch_up()
+        self._frozen = value
+
+    def update(self) -> None:
+        """Rewrite the page from the live clocks (at creation and thaw)."""
+        self._catch_up()
+        if self._frozen:
+            return
+        vclock = self._domain.kernel.vclock
+        self._system_time_ns = vclock.now()
+        self._wall_time_ns = vclock.wall_time()
+        self._tsc_at_update = self._domain.guest_tsc.read()
+        self._updates += 1
+        self._synced_ns = self._domain.sim.now
+
+    def _catch_up(self) -> None:
+        """Apply the grid ticks since the page was last brought up to date."""
+        domain = self._domain
+        origin = domain.hypervisor.grid_origin_ns
+        period = domain.hypervisor.PAGE_UPDATE_PERIOD_NS
+        now = domain.sim.now
+        tick = now - (now - origin) % period
+        if tick <= self._synced_ns:
+            return
+        if not self._frozen:
+            vclock = domain.kernel.vclock
+            self._updates += ((tick - origin) // period
+                              - (self._synced_ns - origin) // period)
+            self._system_time_ns = vclock.at(tick)
+            self._wall_time_ns = vclock.epoch_wall_ns + vclock.at(tick)
+            self._tsc_at_update = domain.guest_tsc.read_at(tick)
+        self._synced_ns = tick
 
 
 class ParavirtTimeSource:
@@ -75,7 +143,27 @@ class ParavirtTimeSource:
 
 
 class Domain:
-    """One guest VM."""
+    """One guest VM.
+
+    ``page`` is the domain's shared-info page, computed when read.  After
+    one virtual second it has seen 22 updates: creation, the grid's first
+    tick, and one tick every 50 ms.  While frozen it holds still:
+
+    >>> import random
+    >>> from repro.hw import Machine
+    >>> from repro.sim import Simulator
+    >>> from repro.units import SECOND
+    >>> sim = Simulator()
+    >>> hypervisor = Hypervisor(sim, Machine(sim, "m0", rng=random.Random(1)))
+    >>> domain = hypervisor.create_domain("d0")
+    >>> sim.run(until=1 * SECOND)
+    >>> domain.page.updates, domain.page.system_time_ns
+    (22, 1000000000)
+    >>> domain.page.frozen = True
+    >>> sim.run(until=2 * SECOND)
+    >>> domain.page.updates, domain.page.system_time_ns
+    (22, 1000000000)
+    """
 
     def __init__(self, hypervisor: "Hypervisor", name: str,
                  memory_bytes: int, kernel: GuestKernel) -> None:
@@ -85,7 +173,7 @@ class Domain:
         self.memory_bytes = memory_bytes
         self.kernel = kernel
         self.guest_tsc = GuestTSC(hypervisor.machine.oscillator)
-        self.page = SharedInfoPage()
+        self.page = SharedInfoPage(self)
         self.time_source = ParavirtTimeSource(
             self.page, self.guest_tsc, hypervisor.machine.oscillator.freq_hz)
         self.xenbus = XenBus(self.sim, kernel)
@@ -125,7 +213,7 @@ class Domain:
         self.page.frozen = False
         self._accounting_suspended = False
         self._runstate_since = self.sim.now
-        self.hypervisor.update_page(self)
+        self.page.update()
 
     # -- run-state accounting ----------------------------------------------------------
 
@@ -145,11 +233,11 @@ class Domain:
 
 
 class Hypervisor:
-    """Xen on one machine: hosts domains, updates their time pages."""
+    """Xen on one machine: hosts domains and their time pages."""
 
     #: period of shared-info page updates.  Guests interpolate between
-    #: updates with the TSC, so the period bounds event-loop overhead, not
-    #: guest time precision.
+    #: updates with the TSC, so the period bounds how stale the page may
+    #: be, not guest time precision.
     PAGE_UPDATE_PERIOD_NS = 50 * MS
 
     def __init__(self, sim: Simulator, machine: Machine,
@@ -158,7 +246,8 @@ class Hypervisor:
         self.machine = machine
         self.tracer = tracer
         self.domains: Dict[str, Domain] = {}
-        self._updating = False
+        #: first tick of the page-update grid: the first domain's creation
+        self.grid_origin_ns: Optional[int] = None
 
     def create_domain(self, name: str, memory_bytes: int = 256 * MB,
                       rng: Optional[random.Random] = None,
@@ -173,25 +262,8 @@ class Hypervisor:
         rng = rng or derived_rng(f"domain.{self.machine.name}.{name}")
         kernel = GuestKernel(self.sim, self.machine, name, rng=rng,
                              tracer=self.tracer, epoch_wall_ns=epoch_wall_ns)
+        if self.grid_origin_ns is None:
+            self.grid_origin_ns = self.sim.now
         domain = Domain(self, name, memory_bytes, kernel)
         self.domains[name] = domain
-        self.update_page(domain)
-        if not self._updating:
-            self._updating = True
-            self.sim.process(self._page_update_loop())
         return domain
-
-    def update_page(self, domain: Domain) -> None:
-        """Refresh one domain's shared-info page."""
-        if domain.page.frozen:
-            return
-        domain.page.system_time_ns = domain.kernel.vclock.now()
-        domain.page.wall_time_ns = domain.kernel.vclock.wall_time()
-        domain.page.tsc_at_update = domain.guest_tsc.read()
-        domain.page.updates += 1
-
-    def _page_update_loop(self):
-        while True:
-            for domain in self.domains.values():
-                self.update_page(domain)
-            yield self.sim.timeout(self.PAGE_UPDATE_PERIOD_NS)
