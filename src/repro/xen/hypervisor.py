@@ -85,12 +85,20 @@ class SharedInfoPage:
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
+        if not value and self._domain.guest_tsc.restricted:
+            # Catching up later would compute the frozen stretch's ticks
+            # from the live offsets, which only holds for unfrozen clocks.
+            raise CheckpointError(
+                f"{self._domain.name}: page thawed while the TSC is restricted")
         self._catch_up()
         self._frozen = value
 
     def update(self) -> None:
-        """Rewrite the page from the live clocks (at creation and thaw)."""
-        self._catch_up()
+        """Rewrite the page from the live clocks (at creation and thaw).
+
+        The page must already be up to date, as it is at creation and right
+        after ``frozen`` is set.
+        """
         if self._frozen:
             return
         vclock = self._domain.kernel.vclock

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.errors import CheckpointError
 from repro.guest.firewall import FirewallState
 from repro.hw import Machine
 from repro.sim import Simulator
@@ -148,11 +149,12 @@ def test_lazy_page_matches_eager_loop(seed):
         elif kind == "flip":
             _eager, domain = rng.choice(domains)
             page = domain.page
-            # The page model assumes an unfrozen page sees unfrozen
-            # clocks, so only thaw it directly outside a firewall cycle.
             if not page.frozen:
                 page.frozen = True
-            elif not domain.kernel.vclock.frozen:
+            elif domain.guest_tsc.restricted:
+                with pytest.raises(CheckpointError):
+                    page.frozen = False
+            else:
                 page.frozen = False
         # Let same-instant events run (the eager loop's first pass).
         sim.run(until=sim.now)
@@ -177,6 +179,17 @@ def test_page_catches_up_across_a_long_quiet_stretch():
     sim.run(until=4 * SECOND + PERIOD)
     assert page.updates == eager.shadows["d0"].updates == 2 + 81
     assert_page_matches(eager, domain)
+
+
+def test_page_refuses_to_thaw_while_the_tsc_is_restricted():
+    sim = Simulator()
+    hypervisor = Hypervisor(sim, Machine(sim, "m0", rng=random.Random(6)))
+    domain = hypervisor.create_domain("d0", rng=random.Random(7))
+    domain.page.frozen = True
+    domain.guest_tsc.restrict()
+    with pytest.raises(CheckpointError, match="TSC is restricted"):
+        domain.page.frozen = False
+    assert domain.page.frozen
 
 
 def test_hypervisor_with_domains_lets_the_run_drain():
