@@ -17,9 +17,19 @@ Scheduling goes through the simulator's scheduled calls: one
 timers expiring at that instant share it, firing in arming order).  A
 cancelled :class:`~repro.sim.timers.TimerHandle` is unhooked from its batch
 immediately — and when the last timer of a batch is cancelled, or the wheel
-freezes, the batch's heap entry is cancelled too, so cancel/rearm-heavy
-workloads (TCP RTO storms) no longer grow the event heap until original
-deadlines pass.
+freezes, the batch's store entry is cancelled too, so cancel-heavy
+workloads never grow the event store until original deadlines pass.
+
+:meth:`VirtualTimerWheel.rearm` (TCP re-arms its retransmit timer on every
+ACK of new data) draws the same slack and the same event seq as a cancel
+followed by :meth:`~VirtualTimerWheel.call_in`, and dispatches the same
+``(when, priority, seq)`` stream.  It skips the store work when it can:
+a timer that was alone in its batch, moving to an instant no earlier than
+that batch's store entry, keeps the entry as a :class:`_Guard`.  The
+guard wakes at its old instant and inserts the moved batch under the seq
+reserved at re-arm time (:meth:`~repro.sim.core.Simulator.reserve_seq`,
+:meth:`~repro.sim.core.Simulator.restore_call`) — before that batch's
+turn, because the guard's own triple is earlier.
 
 Timers may carry a **tag** — a stable string naming the callback for the
 snapshot layer.  Callbacks are live closures and cannot be serialized;
@@ -62,6 +72,34 @@ class _TimerEntry:
     def cancel(self) -> None:
         # Installed as the TimerHandle's underlying cancellable.
         self.wheel._cancel_entry(self)
+
+
+class _Guard:
+    """A batch's store entry, kept through a deferred re-arm.
+
+    Fires at ``at`` and inserts the batch now due at ``fire_at`` under
+    the seq its re-arm reserved.  ``at <= fire_at`` and the guard's seq
+    is older, so the insert lands before that batch's turn.  The wake-up
+    commutes with every other event at ``at``: a cancel or re-arm of the
+    batch's timers before or after it leaves the same dispatch stream.
+    It is a plain object rather than a closure over the wheel, so the
+    event-race detector does not count it as touching the wheel.
+    """
+
+    __slots__ = ("wheel", "at", "fire_at")
+
+    def __init__(self, wheel: "VirtualTimerWheel", at: int,
+                 fire_at: int) -> None:
+        self.wheel = wheel
+        self.at = at
+        self.fire_at = fire_at
+
+    def __call__(self) -> None:
+        wheel = self.wheel
+        fire_at = self.fire_at
+        wheel._due_calls[fire_at] = wheel.sim.restore_call(
+            fire_at, NORMAL, wheel._due_seqs[fire_at],
+            wheel._make_fire_batch(fire_at))
 
 
 class VirtualTimerWheel:
@@ -117,6 +155,59 @@ class VirtualTimerWheel:
             self._arm(entry)
         return handle
 
+    def rearm(self, handle: TimerHandle, delay_ns: int) -> TimerHandle:
+        """Move a pending timer to ``delay_ns`` of virtual time from now.
+
+        Observably ``handle.cancel(); call_in(delay_ns, fn, tag)`` with
+        the timer's own callback and tag: the same slack draw, the same
+        batch join or seq, the same dispatch stream.  Returns ``handle``,
+        armed again.  A timer that was alone in its batch, moving to an
+        instant no earlier than that batch's store entry, keeps the entry
+        as a :class:`_Guard` instead of cancelling it and pushing a new
+        one.  A move to an earlier instant, a timer in a shared batch and
+        a frozen wheel take the cancel-and-push path.
+        """
+        old = handle._call
+        if old is None:
+            raise SimulationError("cannot re-arm a fired or cancelled timer")
+        if delay_ns < 0:
+            raise SimulationError(f"negative timer delay {delay_ns}")
+        old_at = old.fire_at
+        call = self._unhook(old)
+        slack = self.rng.randint(0, self.max_slack_ns) \
+            if self.max_slack_ns > 0 else 0
+        entry = _TimerEntry(self, self.vclock.now() + delay_ns, handle,
+                            slack, old.tag)
+        handle._call = entry
+        self._pending[entry] = None
+        if self._frozen:
+            return handle
+        fire_at = self.sim.now + delay_ns + slack
+        entry.fire_at = fire_at
+        batch = self._due.get(fire_at)
+        if batch is not None:
+            batch.append(entry)             # joins: no store work either way
+            if call is not None:
+                call.cancel()
+            return handle
+        self._due[fire_at] = [entry]
+        if call is not None:
+            guard = call.fn
+            if guard.__class__ is not _Guard:
+                guard = _Guard(self, old_at, fire_at)
+            if guard.at <= fire_at:
+                guard.fire_at = fire_at
+                call.fn = guard
+                self._due_calls[fire_at] = call
+                self._due_seqs[fire_at] = self.sim.reserve_seq()
+                return handle
+            call.cancel()
+        call, seq = self.sim.schedule_tracked(fire_at,
+                                              self._make_fire_batch(fire_at))
+        self._due_calls[fire_at] = call
+        self._due_seqs[fire_at] = seq
+        return handle
+
     # -- internals ------------------------------------------------------------------
 
     def _make_fire_batch(self, fire_at: int) -> Callable[[], None]:
@@ -154,23 +245,30 @@ class VirtualTimerWheel:
 
     def _cancel_entry(self, entry: _TimerEntry) -> None:
         """Unhook a cancelled timer; reclaim its batch if it was the last."""
+        call = self._unhook(entry)
+        if call is not None:
+            call.cancel()                   # lazy-delete the store entry
+
+    def _unhook(self, entry: _TimerEntry) -> Optional[ScheduledCall]:
+        """Take a timer out of the wheel and out of its batch.
+
+        Returns the batch's store entry when the timer was the last one
+        in it (the batch is dropped); the caller cancels or reuses it.
+        """
         self._pending.pop(entry, None)
         fire_at, entry.fire_at = entry.fire_at, -1
-        if fire_at < 0:
-            return                          # frozen or never armed
         batch = self._due.get(fire_at)
         if batch is None:
-            return                          # batch is firing right now
+            return None                     # frozen, unarmed, or firing now
         try:
             batch.remove(entry)
         except ValueError:
-            return
-        if not batch:
-            del self._due[fire_at]
-            self._due_seqs.pop(fire_at, None)
-            call = self._due_calls.pop(fire_at, None)
-            if call is not None:
-                call.cancel()               # lazy-delete the heap entry
+            return None
+        if batch:
+            return None
+        del self._due[fire_at]
+        self._due_seqs.pop(fire_at, None)
+        return self._due_calls.pop(fire_at, None)
 
     # -- freeze protocol ----------------------------------------------------------------
 

@@ -278,9 +278,11 @@ class TCPConnection:
     # ------------------------------------------------------------------ timers
 
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        self._rto_timer = self.host.timers.call_in(
-            min(MAX_RTO_NS, self.rto * self._rto_backoff), self._on_rto)
+        delay = min(MAX_RTO_NS, self.rto * self._rto_backoff)
+        if self._rto_timer is None:
+            self._rto_timer = self.host.timers.call_in(delay, self._on_rto)
+        else:
+            self._rto_timer = self.host.timers.rearm(self._rto_timer, delay)
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:

@@ -335,6 +335,17 @@ class Simulator:
         handle = self.schedule_call(when, fn, priority)
         return handle, self._seq
 
+    def reserve_seq(self) -> int:
+        """Consume the next sequence number without storing an entry.
+
+        The caller inserts the entry later with :meth:`restore_call`
+        under the returned number, at a point no later than its turn in
+        the pop order.  Scheduling that happens in between draws the
+        same numbers it would have drawn had the entry been pushed now.
+        """
+        self._seq = seq = self._seq + 1
+        return seq
+
     def schedule_fn(self, when: int, fn: Callable[[], None],
                     priority: int = NORMAL) -> None:
         """Fire-and-forget scheduling: pushes the bare callable itself.
@@ -440,10 +451,11 @@ class Simulator:
                      fn: Callable[[], None]) -> ScheduledCall:
         """Re-insert one pending call with its *original* ordering triple.
 
-        Used only by restore paths: the triple must have been recorded at
+        Used by restore paths — the triple must have been recorded at
         arming time in the snapshotted world (see :meth:`schedule_tracked`),
         and :meth:`restore_frontier` must already have set the sequence
-        counter at or past ``seq``.  The entry goes to the heap lane —
+        counter at or past ``seq`` — and by deferred inserts, whose seq
+        came from :meth:`reserve_seq`.  The entry goes to the heap lane —
         out-of-order inserts are exactly what that lane absorbs — and the
         counter is *not* advanced, so subsequently scheduled events keep
         their replay-identical numbering.

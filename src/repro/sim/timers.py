@@ -10,16 +10,22 @@ timers and application sleeps.
 Cancellation is propagated downward: a :class:`TimerHandle` owns an
 underlying cancellable (a :class:`~repro.sim.core.ScheduledCall` for
 :class:`SimTimerService`, a wheel entry for the guest timer wheel), so a
-cancelled timer's store entry is reclaimed lazily instead of sitting on the
-event store as a tombstone until its original deadline.  TCP's
-cancel/rearm-heavy RTO timers make this the difference between an O(live)
-and an O(every-timer-ever-armed) store.
+cancelled timer's store entry is reclaimed lazily instead of being
+dispatched at its original deadline.
+
+``rearm(handle, delay_ns)`` moves a pending timer: observably a cancel
+followed by ``call_in`` with the same callback.  :class:`SimTimerService`
+does exactly that.  The guest wheel usually keeps the timer's store entry
+and inserts the moved batch when that entry fires (see
+:meth:`repro.guest.timer.VirtualTimerWheel.rearm`), which is what makes
+TCP's re-arm on every ACK cheap.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Protocol
 
+from repro.errors import SimulationError
 from repro.sim.core import Simulator
 
 
@@ -67,6 +73,11 @@ class TimerService(Protocol):
         """Run ``fn`` after ``delay_ns`` in this service's timebase."""
         ...
 
+    def rearm(self, handle: TimerHandle, delay_ns: int) -> TimerHandle:
+        """Run a pending timer's callback after ``delay_ns`` instead;
+        returns the handle now armed (observably cancel + ``call_in``)."""
+        ...
+
 
 class SimTimerService:
     """Timers in true simulated time (for hosts outside any guest)."""
@@ -85,3 +96,10 @@ class SimTimerService:
         handle = TimerHandle(fn)
         handle._call = self._schedule(self.sim.now + delay_ns, handle._fire)
         return handle
+
+    def rearm(self, handle: TimerHandle, delay_ns: int) -> TimerHandle:
+        fn = handle._fn
+        if fn is None:
+            raise SimulationError("cannot re-arm a fired or cancelled timer")
+        handle.cancel()
+        return self.call_in(delay_ns, fn)

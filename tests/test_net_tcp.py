@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from repro.guest.timer import VirtualTimerWheel, _Guard
+from repro.guest.vclock import VirtualClock
 from repro.net import (Host, Interface, Link, LinkShape, MSS, Packet,
                        TCPStack, install_shaped_link)
 from repro.net.tcp import TCPConnection
@@ -12,9 +14,10 @@ from repro.sim import Simulator
 from repro.units import GBPS, MB, MBPS, MS, SECOND, US
 
 
-def direct_pair(sim, bandwidth=GBPS, propagation=10 * US):
+def direct_pair(sim, bandwidth=GBPS, propagation=10 * US,
+                timers=(None, None)):
     """Two hosts joined by a plain link."""
-    ha, hb = Host(sim, "A"), Host(sim, "B")
+    ha, hb = Host(sim, "A", timers[0]), Host(sim, "B", timers[1])
     ia, ib = Interface(sim, "A.0", "A"), Interface(sim, "B.0", "B")
     ha.add_interface(ia)
     hb.add_interface(ib)
@@ -334,3 +337,74 @@ def test_ack_path_matches_reference_model_across_restore(monkeypatch):
     sim.run(until=sim.now + 2 * SECOND)
     assert server.bytes_delivered == 1 * MB
     assert client._segment_times == {}
+
+
+# RTT samples above the 200 ms floor: (cumulative ack, ms after the first
+# send).  The first two ack segments sent at the start, the third one
+# sent when the first ACK opened the window, 300 ms earlier.
+RTT_SAMPLES = ((1448, 300), (2896, 500), (15928, 600))
+
+
+def stalled_stream(sim, timers=(None, None)):
+    """A client whose ten-segment initial window went out at ``t0`` and
+    whose peer's NIC holds every arrival, so ACKs come only by hand."""
+    ha, hb = direct_pair(sim, timers=timers)
+    client, _server = connect(sim, ha, hb)
+    hb.interfaces["B.0"].freeze()
+    t0 = sim.now
+    client.send(1 * MB)
+    return client, t0
+
+
+def test_rto_estimator_is_exact_above_the_floor():
+    sim = Simulator()
+    client, t0 = stalled_stream(sim)
+    seen = []
+    for ack, at_ms in RTT_SAMPLES:
+        sim.run(until=t0 + at_ms * MS)
+        client.handle(ack_from_peer(client, ack, 1 * MB))
+        seen.append((client.srtt, client.rttvar, client.rto))
+    assert client.stats.rtt_samples == 3
+    # srtt' = (7 srtt + rtt) / 8, rttvar' = (3 rttvar + |srtt - rtt|) / 4,
+    # rto = srtt + 4 rttvar, over rtts of 300, 500 and 300 ms
+    assert seen == [(300 * MS, 150 * MS, 900 * MS),
+                    (325 * MS, 162_500 * US, 975 * MS),
+                    (321_875 * US, 128_125 * US, 834_375 * US)]
+
+
+def eager_rearm(wheel, handle, delay_ns):
+    """The reference ``rearm``: cancel, then arm the callback again."""
+    fn, tag = handle._fn, handle._call.tag
+    handle.cancel()
+    return wheel.call_in(delay_ns, fn, tag=tag)
+
+
+def test_rto_remaining_reads_the_same_after_deferred_and_eager_rearm():
+    readings = {}
+    deferred = []
+    for lazy in (True, False):
+        sim = Simulator()
+        wheels = [VirtualTimerWheel(sim, VirtualClock(sim),
+                                    random.Random(7), name=name)
+                  for name in "AB"]
+        if not lazy:
+            for wheel in wheels:
+                wheel.rearm = (lambda handle, delay, wheel=wheel:
+                               eager_rearm(wheel, handle, delay))
+        client, t0 = stalled_stream(sim, timers=wheels)
+        readings[lazy] = []
+        for ack, at_ms in RTT_SAMPLES:
+            sim.run(until=t0 + at_ms * MS)
+            client.handle(ack_from_peer(client, ack, 1 * MB))
+            timer = client._rto_timer
+            remaining = client._timer_remaining(timer)
+            assert remaining == client.rto      # armed just now, backoff 1
+            assert client.serialize_state()["timers"]["rto"] == remaining
+            readings[lazy].append(remaining)
+            if lazy:
+                call = wheels[0]._due_calls[timer._call.fire_at]
+                deferred.append(call.fn.__class__ is _Guard)
+    assert readings[True] == readings[False]
+    # every re-arm lands past the first arm's instant (t0 + 1 s), whose
+    # store entry stays as the guard
+    assert deferred == [True, True, True]
